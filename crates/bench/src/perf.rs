@@ -42,8 +42,8 @@ pub struct EngineCase {
     pub node_rounds_per_sec: f64,
 }
 
-/// One mock-net transport measurement: the chatter workload running as
-/// a cluster of node runtimes over `MockNetTransport` with one round of
+/// One mock-net transport measurement: the chatter workload running on
+/// the engine over the `MockNetTransport` channel with one round of
 /// per-hop delay.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct TransportCase {
@@ -119,8 +119,8 @@ pub struct BenchReport {
     /// written before the section existed.
     #[serde(default)]
     pub scale: Vec<EngineCase>,
-    /// The transport section: the chatter workload as a node-runtime
-    /// cluster over the mock network (see docs/transport.md). Empty in
+    /// The transport section: the chatter workload on the engine over
+    /// the mock-network channel (see docs/transport.md). Empty in
     /// reports written before the section existed.
     #[serde(default)]
     pub transport: Vec<TransportCase>,
@@ -286,7 +286,7 @@ impl BenchReport {
             }
         }
         if !self.transport.is_empty() {
-            out.push_str("transport (mock-net cluster):\n");
+            out.push_str("transport (mock-net channel):\n");
             for c in &self.transport {
                 out.push_str(&format!(
                     "  {:<28} n = {:>5}  {:>10.0} msgs/s  {:>6.2} rounds/hop\n",
@@ -587,12 +587,12 @@ pub fn scale_cases(rounds: u64) -> Vec<EngineCase> {
         .collect()
 }
 
-/// Measures the chatter workload as a node-runtime cluster over the
-/// mock network (full `G'` link set, one round of per-hop delay) on an
+/// Measures the chatter workload on the engine over the mock network (full `G'` link set, one round of per-hop delay) on an
 /// RGG of `n` vertices: a timed stats-only window for throughput, plus a
 /// short full-recording run for the measured per-hop delivery latency.
 pub fn measure_transport_case(n: usize, rounds: u64) -> TransportCase {
-    use net::{Cluster, ClusterConfig, MockNetConfig, MockNetTransport};
+    use net::{MockNetConfig, MockNetTransport};
+    use radio_sim::scheduler::NoExtraEdges;
     use radio_sim::topology::{random_geometric, RggParams};
     let topo = random_geometric(RggParams {
         n,
@@ -606,13 +606,11 @@ pub fn measure_transport_case(n: usize, rounds: u64) -> TransportCase {
         delay_rounds: 1,
         ..MockNetConfig::default()
     };
-    let cluster = |recording: RecordingPolicy| {
+    let engine = |recording: RecordingPolicy| {
         let procs: Vec<Chatter> = (0..n).map(|_| Chatter).collect();
-        Cluster::new(
-            ClusterConfig::new(topo.graph.clone())
-                .with_r(topo.r)
-                .with_recording(recording),
-            MockNetTransport::new(topo.graph.clone(), config.clone(), 0xBEEF),
+        Engine::with_channel(
+            topo.configuration(Box::new(NoExtraEdges)).with_recording(recording),
+            |_, _| MockNetTransport::new(n, config.clone(), 0xBEEF),
             procs,
             Box::new(NullEnvironment),
             0xBEEF,
@@ -621,7 +619,7 @@ pub fn measure_transport_case(n: usize, rounds: u64) -> TransportCase {
 
     // Timed window: stats-only recording, warmed up like the engine
     // cases so scratch sizing lands outside the measurement.
-    let mut timed = cluster(RecordingPolicy::stats_only());
+    let mut timed = engine(RecordingPolicy::stats_only());
     timed.run(16);
     timed.reserve_rounds(rounds);
     let start = Instant::now();
@@ -635,7 +633,7 @@ pub fn measure_transport_case(n: usize, rounds: u64) -> TransportCase {
 
     // Latency probe: a short full-recording run; the chatter message is
     // its send round, so delivery latency is `round - msg` per reception.
-    let mut probe = cluster(RecordingPolicy::full());
+    let mut probe = engine(RecordingPolicy::full());
     probe.run(rounds.min(128));
     let (sum, count) = probe
         .trace()
@@ -654,7 +652,7 @@ pub fn measure_transport_case(n: usize, rounds: u64) -> TransportCase {
     }
 }
 
-/// The transport case set: mock-net clusters at `n = 64` and `n = 256`.
+/// The transport case set: mock-net engines at `n = 64` and `n = 256`.
 pub fn transport_cases(rounds: u64) -> Vec<TransportCase> {
     [64usize, 256].into_iter().map(|n| measure_transport_case(n, rounds)).collect()
 }
@@ -750,10 +748,19 @@ pub fn run(quick: bool) -> BenchReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::OnceLock;
+
+    /// The quick report, built once per test binary (its scale points
+    /// dominate the suite's run time in a debug build). Tests that
+    /// mutate it clone it first.
+    fn quick_report() -> &'static BenchReport {
+        static REPORT: OnceLock<BenchReport> = OnceLock::new();
+        REPORT.get_or_init(|| run(true))
+    }
 
     #[test]
     fn quick_report_is_valid_and_roundtrips() {
-        let report = run(true);
+        let report = quick_report();
         report.validate().expect("fresh report validates");
         let back = BenchReport::from_json(&report.to_json()).unwrap();
         assert_eq!(back.engine.len(), report.engine.len());
@@ -774,7 +781,7 @@ mod tests {
 
     #[test]
     fn validation_rejects_malformed_reports() {
-        let base = run(true);
+        let base = quick_report();
 
         let mut report = base.clone();
         report.schema_version = 99;
@@ -797,10 +804,10 @@ mod tests {
 
     #[test]
     fn compare_flags_regressions_and_tracks_case_churn() {
-        let base = run(true);
+        let base = quick_report();
 
         // Identical reports: every ratio is 1.0, nothing regresses.
-        let same = compare(&base, &base, 0.5);
+        let same = compare(base, base, 0.5);
         assert_eq!(
             same.cases.len(),
             base.engine.len()
@@ -817,7 +824,7 @@ mod tests {
         let mut slow = base.clone();
         slow.engine[0].node_rounds_per_sec = base.engine[0].node_rounds_per_sec * 0.25;
         slow.campaign.trials_per_sec = base.campaign.trials_per_sec * 0.25;
-        let cmp = compare(&base, &slow, 0.5);
+        let cmp = compare(base, &slow, 0.5);
         let regressed: Vec<&str> =
             cmp.regressions().iter().map(|c| c.case.as_str()).collect();
         assert_eq!(regressed, vec![base.engine[0].case.as_str(), "campaign"]);
@@ -829,7 +836,7 @@ mod tests {
             c.node_rounds_per_sec *= 2.0;
         }
         fast.campaign.trials_per_sec *= 2.0;
-        assert!(compare(&base, &fast, 0.5).regressions().is_empty());
+        assert!(compare(base, &fast, 0.5).regressions().is_empty());
 
         // Case churn is informational, not a regression.
         let mut churned = base.clone();
@@ -839,7 +846,7 @@ mod tests {
             ..churned.scale[0].clone()
         });
         churned.campaign.scenarios.push("extra".into());
-        let cmp = compare(&base, &churned, 0.5);
+        let cmp = compare(base, &churned, 0.5);
         assert!(cmp.regressions().is_empty());
         assert!(cmp.missing.contains(&dropped.case));
         assert!(cmp.missing.iter().any(|m| m.starts_with("campaign")));
@@ -854,7 +861,7 @@ mod tests {
         // parse (empty section), validate, and compare against a report
         // that has one — the new cases surface as informational churn,
         // never as regressions.
-        let base = run(true);
+        let base = quick_report();
         let mut legacy = base.clone();
         legacy.transport.clear();
         let json = legacy.to_json();
@@ -864,7 +871,7 @@ mod tests {
         assert!(back.transport.is_empty());
         assert!(!back.summary().contains("mock-net"));
 
-        let cmp = compare(&back, &base, 0.5);
+        let cmp = compare(&back, base, 0.5);
         assert!(cmp.regressions().is_empty());
         assert_eq!(
             cmp.added,
@@ -901,7 +908,7 @@ mod tests {
         // Pre-mobility BENCH.json files have no `mobility` key: they
         // parse (empty section), validate, and the new cases surface as
         // informational churn in a comparison, never as regressions.
-        let report = run(true);
+        let report = quick_report();
         let mut legacy = report.clone();
         legacy.mobility.clear();
         let json = legacy.to_json();
@@ -910,7 +917,7 @@ mod tests {
         let back = BenchReport::from_json(&stripped).unwrap();
         assert!(back.mobility.is_empty());
         assert!(!back.summary().contains("rebuild"));
-        let cmp = compare(&back, &report, 0.5);
+        let cmp = compare(&back, report, 0.5);
         assert!(cmp.regressions().is_empty());
         assert_eq!(
             cmp.added,
@@ -923,7 +930,7 @@ mod tests {
         // Pre-scale BENCH.json files have no `scale` key: they must
         // parse (empty section) and validate, so old trajectory points
         // stay readable.
-        let mut report = run(true);
+        let mut report = quick_report().clone();
         report.scale.clear();
         let json = report.to_json();
         let legacy = json.replace("\"scale\": [],\n  ", "");

@@ -1,19 +1,15 @@
-//! `LBAlg` over both substrates: the unmodified `LbProcess` runs as a
-//! cluster of node runtimes over the `net` crate's transports — the sim
-//! transport byte-identically to the engine, the mock network with the
-//! same `t_ack` guarantee under delay and loss the simulator cannot
-//! express.
+//! `LBAlg` off the model's channel: the unmodified `LbProcess` runs on
+//! the engine over the `net` crate's mock network, keeping its `t_ack`
+//! guarantee under delay and loss the simulator cannot express.
 
 use local_broadcast::config::LbConfig;
 use local_broadcast::service::QueueWorkload;
-use local_broadcast::spec;
 use local_broadcast::{LbOutput, LbProcess, Payload};
-use net::{Cluster, ClusterConfig, MockNetConfig, MockNetTransport, SimTransport};
+use net::{MockNetConfig, MockNetTransport};
 use radio_sim::engine::Engine;
 use radio_sim::graph::NodeId;
 use radio_sim::scheduler::AllExtraEdges;
-use radio_sim::topology;
-use radio_sim::trace::RecordingPolicy;
+use radio_sim::topology::{self, Topology};
 use std::collections::VecDeque;
 
 fn workload(n: usize, sender: usize) -> QueueWorkload {
@@ -22,40 +18,22 @@ fn workload(n: usize, sender: usize) -> QueueWorkload {
     QueueWorkload::new(queues, 1)
 }
 
-/// The simulator behind the transport trait is invisible to `LBAlg`:
-/// engine and sim-transport cluster produce byte-identical executions,
-/// and the LB specification accepts the cluster's trace.
-#[test]
-fn lb_over_the_sim_transport_is_the_engine() {
-    let topo = topology::line(5, 0.9, 2.0);
-    let cfg = LbConfig::fast(0.25);
-    let params = cfg.resolve(topo.r, topo.graph.delta(), topo.graph.delta_prime());
+/// `LbProcess`es on the engine over the mock network, node 0 sending.
+fn mock_engine(
+    topo: &Topology,
+    cfg: &LbConfig,
+    net: MockNetConfig,
+    seed: u64,
+) -> Engine<LbProcess, MockNetTransport<<LbProcess as radio_sim::process::Process>::Msg>> {
     let n = topo.graph.len();
-    let rounds = params.t_ack_rounds() + params.phase_len();
-    let seed = 7;
-
     let procs: Vec<LbProcess> = (0..n).map(|_| LbProcess::new(cfg.clone())).collect();
-    let config = topo
-        .configuration(Box::new(AllExtraEdges))
-        .with_recording(RecordingPolicy::full());
-    let mut engine = Engine::new(config, procs, Box::new(workload(n, 0)), seed);
-    engine.run(rounds);
-    let reference = engine.into_trace();
-
-    let procs: Vec<LbProcess> = (0..n).map(|_| LbProcess::new(cfg.clone())).collect();
-    let transport = SimTransport::new(topo.graph.clone(), Box::new(AllExtraEdges));
-    let config = ClusterConfig::new(topo.graph.clone())
-        .with_r(topo.r)
-        .with_recording(RecordingPolicy::full());
-    let mut cluster = Cluster::new(config, transport, procs, Box::new(workload(n, 0)), seed);
-    cluster.run(rounds);
-    let trace = cluster.into_trace();
-
-    assert_eq!(reference.events, trace.events);
-    assert_eq!(reference.round_stats, trace.round_stats);
-    spec::check_timely_ack(&trace, params.t_ack_rounds())
-        .expect("t_ack holds on the cluster trace");
-    spec::check_validity(&trace, &topo.graph).expect("validity holds on the cluster trace");
+    Engine::with_channel(
+        topo.configuration(Box::new(AllExtraEdges)),
+        |_, _| MockNetTransport::new(n, net, seed),
+        procs,
+        Box::new(workload(n, 0)),
+        seed,
+    )
 }
 
 /// `t_ack` is a clock guarantee, not a channel guarantee: the sender
@@ -66,21 +44,13 @@ fn lb_ack_deadline_survives_a_degraded_mock_network() {
     let topo = topology::clique(4, 1.0);
     let cfg = LbConfig::fast(0.25);
     let params = cfg.resolve(topo.r, topo.graph.delta(), topo.graph.delta_prime());
-    let n = topo.graph.len();
-
-    let procs: Vec<LbProcess> = (0..n).map(|_| LbProcess::new(cfg.clone())).collect();
-    let transport = MockNetTransport::new(
-        topo.graph.clone(),
-        MockNetConfig {
-            delay_rounds: 1,
-            loss_p: 0.33,
-            ..MockNetConfig::default()
-        },
-        31,
-    );
-    let config = ClusterConfig::new(topo.graph.clone()).with_r(topo.r);
-    let mut cluster = Cluster::new(config, transport, procs, Box::new(workload(n, 0)), 31);
-    let acked = cluster.run_until(params.t_ack_rounds() + params.phase_len(), |t| {
+    let net = MockNetConfig {
+        delay_rounds: 1,
+        loss_p: 0.33,
+        ..MockNetConfig::default()
+    };
+    let mut engine = mock_engine(&topo, &cfg, net, 31);
+    let acked = engine.run_until(params.t_ack_rounds() + params.phase_len(), |t| {
         t.outputs().any(|(_, v, o)| v == NodeId(0) && o.is_ack())
     });
     assert!(acked, "the ack deadline holds over a delayed, lossy channel");
@@ -95,20 +65,13 @@ fn lb_deliveries_over_the_mock_network_are_exactly_once() {
     let cfg = LbConfig::fast(0.25);
     let params = cfg.resolve(topo.r, topo.graph.delta(), topo.graph.delta_prime());
     let n = topo.graph.len();
-
-    let procs: Vec<LbProcess> = (0..n).map(|_| LbProcess::new(cfg.clone())).collect();
-    let transport = MockNetTransport::new(
-        topo.graph.clone(),
-        MockNetConfig {
-            loss_p: 0.25,
-            ..MockNetConfig::default()
-        },
-        47,
-    );
-    let config = ClusterConfig::new(topo.graph.clone()).with_r(topo.r);
-    let mut cluster = Cluster::new(config, transport, procs, Box::new(workload(n, 0)), 47);
-    cluster.run(params.t_ack_rounds() + params.phase_len());
-    let trace = cluster.into_trace();
+    let net = MockNetConfig {
+        loss_p: 0.25,
+        ..MockNetConfig::default()
+    };
+    let mut engine = mock_engine(&topo, &cfg, net, 47);
+    engine.run(params.t_ack_rounds() + params.phase_len());
+    let trace = engine.into_trace();
 
     let mut recvs = vec![0usize; n];
     for (_, v, o) in trace.outputs() {

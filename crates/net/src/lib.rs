@@ -3,47 +3,32 @@
 //! The process layer ([`radio_sim::process::Process`]) is already pure
 //! message-in/message-out: a process sees inputs, makes a transmit/listen
 //! decision, and handles a reception — nothing else. The only thing that
-//! ties `LbProcess`/`SeedProcess`/the baselines to the lockstep
-//! [`Engine`](radio_sim::engine::Engine) is the *channel*: how one
-//! round's transmit decisions become per-node receptions.
+//! ties `LbProcess`/`SeedProcess`/the baselines to the simulator is the
+//! *channel*: how one round's transmit decisions become per-node
+//! receptions. [`radio_sim::engine::Engine`] is the one round loop and
+//! takes that step from a [`radio_sim::channel::Channel`].
 //!
-//! This crate extracts that step behind the [`Transport`](transport::Transport)
-//! trait and supplies two implementations:
+//! This crate supplies the channel that is not the model's:
+//! [`MockNetTransport`](transport::MockNetTransport), a deterministic
+//! network event loop with per-link delivery delay, Bernoulli loss, and
+//! partition windows, seeded from the existing
+//! [`StreamKind`](radio_sim::rng::StreamKind) machinery
+//! (`StreamKind::Transport`, so a lossy network never perturbs process
+//! randomness). Plugged in with
+//! [`Engine::with_channel`](radio_sim::engine::Engine::with_channel), it
+//! runs any `radio_sim::Process` unmodified, under the engine's faults,
+//! traces, and telemetry. With delay 0, no loss, no partitions, and the
+//! full link set its executions byte-compare equal to the simulator's
+//! under the `AllExtraEdges` scheduler — the bridge between the
+//! reproduction and a deployable, socket-shaped system.
 //!
-//! * [`SimTransport`](transport::SimTransport) — wraps the exact
-//!   collision-resolution functions the engine itself calls
-//!   ([`radio_sim::resolve`]), scheduler and sharding included, so an
-//!   execution routed through the trait is **byte-identical** to the
-//!   engine's.
-//! * [`MockNetTransport`](transport::MockNetTransport) — a deterministic
-//!   network event loop with per-link delivery delay, Bernoulli loss,
-//!   and partition windows, seeded from the existing
-//!   [`StreamKind`](radio_sim::rng::StreamKind) machinery
-//!   (`StreamKind::Transport`, so a lossy network never perturbs
-//!   process randomness). With delay 0, no loss, and no partitions its
-//!   executions byte-compare equal to the simulator's — the bridge
-//!   between the reproduction and a deployable, socket-shaped system.
-//!
-//! On top of the trait, [`runtime`] provides the round synchronizer:
-//! one [`NodeRuntime`](runtime::NodeRuntime) per process and a
-//! [`Cluster`](runtime::Cluster) that drives N runtimes through the
-//! Section 2 round structure (inputs → transmit → reception → outputs),
-//! communicating *only* through the transport — any
-//! `radio_sim::Process` runs unmodified. The cluster records the same
-//! [`Trace`](radio_sim::trace::Trace) the engine does, so every
-//! specification predicate evaluates over both substrates unchanged.
-//!
-//! See `docs/transport.md` for the trait contract, the delay/loss/
+//! See `docs/transport.md` for the channel contract, the delay/loss/
 //! partition model, the sim-equivalence argument, and what a
 //! real-socket backend would add.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod runtime;
 pub mod transport;
 
-pub use runtime::{Cluster, ClusterConfig, NodeRuntime};
-pub use transport::{
-    LinkSet, MockNetConfig, MockNetTransport, PartitionWindow, Reception, SimTransport, Transport,
-};
+pub use transport::{LinkSet, MockNetConfig, MockNetTransport, PartitionWindow};

@@ -1,228 +1,16 @@
-//! The [`Transport`] trait and its two implementations.
+//! The mock network: a [`Channel`] with per-link delay, loss, and
+//! partitions.
 //!
-//! A transport answers exactly one question per synchronous round: given
-//! every node's transmit/listen decision, what does every node *hear*?
-//! The answer is a [`Reception`] per vertex; the cluster (or any other
-//! runtime) owns everything else — process callbacks, fault masks,
-//! traces, statistics.
+//! The engine drives the round; this channel answers only who hears
+//! what. Every transmission fans out over the sender's static links in
+//! the round's graph, and each copy independently survives partitions
+//! and loss, then waits in the receiver's inbox until its arrival round.
 
+use radio_sim::channel::{Channel, Heard, OnAir};
 use radio_sim::graph::{DualGraph, NodeId};
-use radio_sim::process::Action;
-use radio_sim::resolve;
 use radio_sim::rng::{derive_stream, StreamKind};
-use radio_sim::scheduler::{AdaptiveScheduler, LinkScheduler, SchedulerBox};
-use radio_sim::timeline::GraphTimeline;
 use rand::Rng;
 use std::collections::VecDeque;
-use std::sync::Arc;
-
-/// What one node hears in one round, as reported by a transport.
-///
-/// Radio semantics, no collision detection: a node that transmitted
-/// this round hears nothing regardless of the variant reported for it
-/// (the runtime ignores transports' values for transmitters), and
-/// `Silence` vs `Collision` are indistinguishable *to the process*
-/// (both deliver `⊥`) — the distinction exists only for the outside
-/// view (channel statistics).
-#[derive(Debug, Clone, PartialEq)]
-pub enum Reception<M> {
-    /// Nothing arrived at this node.
-    Silence,
-    /// Two or more arrivals interfered; the node hears noise (`⊥`).
-    Collision,
-    /// Exactly one message arrived.
-    Message {
-        /// The transmitting vertex.
-        from: NodeId,
-        /// The message.
-        msg: M,
-    },
-}
-
-/// How per-round transmit decisions become per-node receptions.
-///
-/// The contract:
-///
-/// * `resolve_round` is called exactly once per round, with strictly
-///   increasing round numbers starting at 1.
-/// * `actions` has one entry per vertex; `Action::Transmit(m)` means
-///   the vertex put `m` on the air this round.
-/// * On return, `receptions` has one entry per vertex describing what
-///   that vertex hears *this* round (which, for a delayed transport,
-///   may be traffic transmitted in an earlier round).
-/// * Entries for transmitting vertices are ignored by the runtime
-///   (a radio cannot listen while transmitting).
-/// * The result must be a pure function of the construction parameters
-///   and the sequence of `resolve_round` calls — transports are
-///   deterministic and replayable, like everything else in the stack.
-pub trait Transport<M: Clone + Send>: Send {
-    /// Resolves one round of traffic.
-    fn resolve_round(&mut self, round: u64, actions: &[Action<M>], receptions: &mut Vec<Reception<M>>);
-
-    /// A short human-readable name for reports.
-    fn name(&self) -> &'static str {
-        "transport"
-    }
-}
-
-// ---------------------------------------------------------------------------
-// SimTransport
-// ---------------------------------------------------------------------------
-
-/// The simulator channel behind the trait: the link scheduler picks the
-/// round topology and [`radio_sim::resolve`] applies the collision rule —
-/// the *same* free functions [`radio_sim::engine::Engine::step`] calls,
-/// serial or sharded, so executions through this transport are
-/// byte-identical to the engine's by construction.
-pub struct SimTransport {
-    graph: Arc<DualGraph>,
-    /// Dynamic geometry: the epoch schedule `graph` is swapped from,
-    /// at exactly the boundaries the engine swaps at (epoch starts,
-    /// before adjacency is read); `epoch` is the current index.
-    timeline: Option<GraphTimeline>,
-    epoch: usize,
-    scheduler: SchedulerBox,
-    shards: usize,
-    transmitting: Vec<bool>,
-    tx_list: Vec<usize>,
-    tx_neighbors: Vec<u32>,
-    last_sender: Vec<NodeId>,
-}
-
-impl SimTransport {
-    /// A sim transport over the given dual graph and oblivious link
-    /// scheduler, serial resolution.
-    pub fn new(graph: impl Into<Arc<DualGraph>>, scheduler: Box<dyn LinkScheduler>) -> Self {
-        let graph = graph.into();
-        let n = graph.len();
-        SimTransport {
-            graph,
-            timeline: None,
-            epoch: 0,
-            scheduler: SchedulerBox::Oblivious(scheduler),
-            shards: 1,
-            transmitting: vec![false; n],
-            tx_list: Vec::with_capacity(n),
-            tx_neighbors: vec![0; n],
-            last_sender: vec![NodeId(0); n],
-        }
-    }
-
-    /// Replaces the scheduler with an adaptive one (E8 separation runs).
-    pub fn with_adaptive(mut self, scheduler: Box<dyn AdaptiveScheduler>) -> Self {
-        self.scheduler = SchedulerBox::Adaptive(scheduler);
-        self
-    }
-
-    /// Fans reception resolution out over `shards` worker threads
-    /// (clamped to ≥ 1; byte-identical for every value, exactly like
-    /// [`radio_sim::engine::Configuration::with_shards`]).
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        self.shards = shards.max(1);
-        self
-    }
-
-    /// Installs a dynamic-geometry timeline; the transport resolves
-    /// each round over the snapshot in force at that round, swapping at
-    /// the same epoch boundaries as the engine.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the timeline's vertex count differs from the graph's.
-    pub fn with_timeline(mut self, timeline: GraphTimeline) -> Self {
-        assert_eq!(
-            timeline.len(),
-            self.graph.len(),
-            "timeline must cover the same vertex set as the graph"
-        );
-        self.graph = Arc::clone(timeline.epoch_graph(0));
-        self.timeline = Some(timeline);
-        self
-    }
-
-    /// The dual graph this transport resolves over (the current
-    /// epoch's snapshot when geometry is dynamic).
-    pub fn graph(&self) -> &DualGraph {
-        &self.graph
-    }
-}
-
-impl<M: Clone + Send> Transport<M> for SimTransport {
-    fn resolve_round(
-        &mut self,
-        round: u64,
-        actions: &[Action<M>],
-        receptions: &mut Vec<Reception<M>>,
-    ) {
-        // Dynamic geometry: swap in the snapshot covering this round
-        // before adjacency is read — the same boundary discipline as
-        // the engine, so both substrates resolve over identical graphs
-        // every round.
-        if let Some(tl) = &self.timeline {
-            while self.epoch + 1 < tl.num_epochs() && tl.epoch_start(self.epoch + 1) <= round {
-                self.epoch += 1;
-                self.graph = Arc::clone(tl.epoch_graph(self.epoch));
-            }
-        }
-        let n = self.graph.len();
-        assert_eq!(actions.len(), n, "one action per vertex required");
-        self.transmitting.fill(false);
-        self.tx_list.clear();
-        for (v, a) in actions.iter().enumerate() {
-            if matches!(a, Action::Transmit(_)) {
-                self.transmitting[v] = true;
-                self.tx_list.push(v);
-            }
-        }
-        let selection = match &mut self.scheduler {
-            SchedulerBox::Oblivious(s) => s.extra_edges(round, &self.graph),
-            SchedulerBox::Adaptive(s) => s.extra_edges(round, &self.graph, &self.transmitting),
-        };
-        if self.shards > 1 {
-            resolve::resolve_receptions_sharded(
-                &self.graph,
-                &selection,
-                &self.transmitting,
-                self.shards,
-                &mut self.tx_neighbors,
-                &mut self.last_sender,
-                None,
-            );
-        } else {
-            resolve::resolve_receptions_serial(
-                &self.graph,
-                &selection,
-                &self.transmitting,
-                &self.tx_list,
-                &mut self.tx_neighbors,
-                &mut self.last_sender,
-            );
-        }
-        receptions.clear();
-        for u in 0..n {
-            receptions.push(match self.tx_neighbors[u] {
-                0 => Reception::Silence,
-                1 => {
-                    let from = self.last_sender[u];
-                    let msg = match &actions[from.0] {
-                        Action::Transmit(m) => m.clone(),
-                        Action::Receive => unreachable!("sender counted but not transmitting"),
-                    };
-                    Reception::Message { from, msg }
-                }
-                _ => Reception::Collision,
-            });
-        }
-    }
-
-    fn name(&self) -> &'static str {
-        "sim"
-    }
-}
-
-// ---------------------------------------------------------------------------
-// MockNetTransport
-// ---------------------------------------------------------------------------
 
 /// Which static links the mock network routes over.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -277,37 +65,45 @@ impl Default for MockNetConfig {
     }
 }
 
+/// What one vertex's inbox holds at its arrival round.
+enum Inbox<M> {
+    Empty,
+    One(NodeId, M),
+    Collided,
+}
+
 /// A deterministic mock network: per-node inbox queues over an event
 /// loop keyed by arrival round.
 ///
 /// Every transmission fans out over the sender's static links; each
 /// copy independently survives partitions and loss, then sits in the
 /// receiver's inbox until its arrival round. At arrival, radio
-/// semantics apply: a receiver that is itself transmitting discards the
-/// arrivals (it cannot listen), one surviving arrival is a delivery,
-/// and two or more interfere ([`Reception::Collision`]).
+/// semantics apply: the engine never asks a transmitting receiver what
+/// it heard (the arrivals are discarded, not buffered), one surviving
+/// arrival is a delivery, and two or more interfere.
 pub struct MockNetTransport<M> {
-    graph: Arc<DualGraph>,
     config: MockNetConfig,
     master_seed: u64,
     /// `partition_masks[w][v]` — is `v` on the `nodes` side of window `w`?
     partition_masks: Vec<Vec<bool>>,
-    /// Ring buffer of inboxes: `pending[d]` holds `(receiver, sender, msg)`
-    /// entries arriving `d` rounds from the round being resolved.
+    /// Ring buffer of in-flight copies: `pending[d]` holds
+    /// `(receiver, sender, msg)` entries arriving `d` rounds after the
+    /// round being resolved.
     pending: VecDeque<Vec<(usize, NodeId, M)>>,
+    /// This round's arrivals, per vertex.
+    inbox: Vec<Inbox<M>>,
 }
 
-impl<M: Clone + Send> MockNetTransport<M> {
-    /// A mock network over the given graph's links, seeded like every
-    /// other component (the seed selects the loss-coin streams).
+impl<M: Clone> MockNetTransport<M> {
+    /// A mock network over `n` vertices, seeded like every other
+    /// component (the seed selects the loss-coin streams). Links come
+    /// from the graph the engine resolves each round over.
     ///
     /// # Panics
     ///
     /// Panics if `loss_p` is outside `[0, 1]`, or a partition window is
     /// malformed (zero-based round, empty or out-of-range node set).
-    pub fn new(graph: impl Into<Arc<DualGraph>>, config: MockNetConfig, master_seed: u64) -> Self {
-        let graph = graph.into();
-        let n = graph.len();
+    pub fn new(n: usize, config: MockNetConfig, master_seed: u64) -> Self {
         assert!(
             (0.0..=1.0).contains(&config.loss_p),
             "loss_p must be in [0, 1], got {}",
@@ -326,16 +122,13 @@ impl<M: Clone + Send> MockNetTransport<M> {
                 mask
             })
             .collect();
-        let mut pending = VecDeque::new();
-        for _ in 0..=config.delay_rounds {
-            pending.push_back(Vec::new());
-        }
+        let pending = (0..=config.delay_rounds).map(|_| Vec::new()).collect();
         MockNetTransport {
-            graph,
             config,
             master_seed,
             partition_masks,
             pending,
+            inbox: (0..n).map(|_| Inbox::Empty).collect(),
         }
     }
 
@@ -345,16 +138,14 @@ impl<M: Clone + Send> MockNetTransport<M> {
     }
 }
 
-impl<M: Clone + Send> Transport<M> for MockNetTransport<M> {
-    fn resolve_round(
+impl<M: Clone> Channel<M> for MockNetTransport<M> {
+    fn resolve(
         &mut self,
         round: u64,
-        actions: &[Action<M>],
-        receptions: &mut Vec<Reception<M>>,
+        graph: &DualGraph,
+        on_air: &OnAir<'_, M>,
+        _shard_busy: Option<&mut [u64]>,
     ) {
-        let n = self.graph.len();
-        assert_eq!(actions.len(), n, "one action per vertex required");
-        let graph = Arc::clone(&self.graph);
         let delay = self.config.delay_rounds as usize;
         debug_assert_eq!(self.pending.len(), delay + 1);
 
@@ -374,8 +165,10 @@ impl<M: Clone + Send> Transport<M> for MockNetTransport<M> {
             .collect();
         let loss_p = self.config.loss_p;
         let mut loss_rng = None;
-        for (v, action) in actions.iter().enumerate() {
-            let Action::Transmit(m) = action else { continue };
+        for &v in on_air.tx_list {
+            let m = on_air.messages[v]
+                .as_ref()
+                .expect("transmitter carries a message");
             let neighbors = match self.config.links {
                 LinkSet::Reliable => graph.reliable_neighbors(NodeId(v)),
                 LinkSet::All => graph.all_neighbors(NodeId(v)),
@@ -396,111 +189,148 @@ impl<M: Clone + Send> Transport<M> for MockNetTransport<M> {
             }
         }
 
-        // Arrival phase: drain this round's inbox slot and classify.
-        // Entries for vertices transmitting this round are discarded —
-        // a radio cannot listen while transmitting, and a delayed
-        // message is not buffered past its arrival round.
-        let arrivals = self.pending.pop_front().expect("ring is never empty");
-        self.pending.push_back(Vec::new());
-        receptions.clear();
-        receptions.extend((0..n).map(|_| Reception::Silence));
-        for (u, from, msg) in arrivals {
-            receptions[u] = match receptions[u] {
-                Reception::Silence => Reception::Message { from, msg },
-                _ => Reception::Collision,
+        // Arrival phase: move this round's slot into the inboxes and
+        // recycle the emptied slot (with its capacity) as the farthest.
+        let mut arrivals = self.pending.pop_front().expect("ring is never empty");
+        for slot in &mut self.inbox {
+            *slot = Inbox::Empty;
+        }
+        for (u, from, msg) in arrivals.drain(..) {
+            self.inbox[u] = match self.inbox[u] {
+                Inbox::Empty => Inbox::One(from, msg),
+                _ => Inbox::Collided,
             };
         }
+        self.pending.push_back(arrivals);
     }
 
-    fn name(&self) -> &'static str {
-        "mock-net"
+    fn heard<'a>(&'a self, listener: usize, _messages: &'a [Option<M>]) -> Heard<'a, M> {
+        match &self.inbox[listener] {
+            Inbox::Empty => Heard::Silence,
+            Inbox::One(from, msg) => Heard::Message { from: *from, msg },
+            Inbox::Collided => Heard::Collision,
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use radio_sim::scheduler::{AllExtraEdges, NoExtraEdges};
+    use radio_sim::channel::SimChannel;
+    use radio_sim::scheduler::{AllExtraEdges, LinkScheduler, NoExtraEdges, SchedulerBox};
+
+    /// What one vertex heard, owned so rounds can be compared.
+    #[derive(Debug, PartialEq)]
+    enum Got {
+        Silence,
+        Collision,
+        Msg(usize, u32),
+    }
 
     fn line4() -> DualGraph {
         DualGraph::new(4, [(0, 1), (1, 2), (2, 3)], [(0, 2), (1, 3)]).unwrap()
     }
 
-    fn tx(m: u32) -> Action<u32> {
-        Action::Transmit(m)
+    fn sim(scheduler: impl LinkScheduler + 'static, shards: usize) -> SimChannel {
+        SimChannel::new(SchedulerBox::Oblivious(Box::new(scheduler)), shards)
     }
 
-    fn rx() -> Action<u32> {
-        Action::Receive
+    fn mock(n: usize, config: MockNetConfig, seed: u64) -> MockNetTransport<u32> {
+        MockNetTransport::new(n, config, seed)
+    }
+
+    fn reliable(delay_rounds: u64) -> MockNetConfig {
+        MockNetConfig {
+            links: LinkSet::Reliable,
+            delay_rounds,
+            ..MockNetConfig::default()
+        }
+    }
+
+    /// Resolves one round in which `messages[v]` is `Some` exactly for
+    /// the transmitters, and reports what every vertex heard.
+    fn hear(
+        channel: &mut impl Channel<u32>,
+        graph: &DualGraph,
+        round: u64,
+        messages: &[Option<u32>],
+    ) -> Vec<Got> {
+        let transmitting: Vec<bool> = messages.iter().map(Option::is_some).collect();
+        let tx_list: Vec<usize> = (0..messages.len()).filter(|&v| transmitting[v]).collect();
+        let on_air = OnAir {
+            transmitting: &transmitting,
+            tx_list: &tx_list,
+            messages,
+        };
+        channel.resolve(round, graph, &on_air, None);
+        (0..messages.len())
+            .map(|u| match channel.heard(u, messages) {
+                Heard::Silence => Got::Silence,
+                Heard::Collision => Got::Collision,
+                Heard::Message { from, msg } => Got::Msg(from.0, *msg),
+            })
+            .collect()
     }
 
     #[test]
     fn sim_transport_classifies_by_collision_rule() {
-        let mut t = SimTransport::new(line4(), Box::new(NoExtraEdges));
-        let mut out = Vec::new();
+        let g = line4();
+        let mut t = sim(NoExtraEdges, 1);
+        let messages = [Some(7), None, Some(9), None];
         // 0 and 2 transmit: 1 collides, 3 hears 2.
-        t.resolve_round(1, &[tx(7), rx(), tx(9), rx()], &mut out);
-        assert_eq!(out[1], Reception::Collision);
-        assert_eq!(
-            out[3],
-            Reception::Message {
-                from: NodeId(2),
-                msg: 9
-            }
-        );
-        assert_eq!(out[0], Reception::Silence);
+        let out = hear(&mut t, &g, 1, &messages);
+        assert_eq!(out[1], Got::Collision);
+        assert_eq!(out[3], Got::Msg(2, 9));
+        assert_eq!(out[0], Got::Silence);
+        // The sim channel names the sender and lends the engine's own
+        // message slot: no per-listener copy.
+        assert!(matches!(
+            t.heard(3, &messages),
+            Heard::Message { msg, .. } if std::ptr::eq(msg, messages[2].as_ref().unwrap())
+        ));
     }
 
     #[test]
     fn sim_transport_extra_edges_follow_the_scheduler() {
         let g = DualGraph::new(2, [], [(0, 1)]).unwrap();
-        let mut with = SimTransport::new(g.clone(), Box::new(AllExtraEdges));
-        let mut out = Vec::new();
-        with.resolve_round(1, &[tx(5), rx()], &mut out);
-        assert!(matches!(out[1], Reception::Message { .. }));
-        let mut without = SimTransport::new(g, Box::new(NoExtraEdges));
-        without.resolve_round(1, &[tx(5), rx()], &mut out);
-        assert_eq!(out[1], Reception::Silence);
+        let mut with = sim(AllExtraEdges, 1);
+        assert_eq!(hear(&mut with, &g, 1, &[Some(5), None])[1], Got::Msg(0, 5));
+        let mut without = sim(NoExtraEdges, 1);
+        assert_eq!(hear(&mut without, &g, 1, &[Some(5), None])[1], Got::Silence);
     }
 
     #[test]
     fn sim_transport_sharded_matches_serial() {
-        let mut serial = SimTransport::new(line4(), Box::new(AllExtraEdges));
-        let mut sharded = SimTransport::new(line4(), Box::new(AllExtraEdges)).with_shards(3);
-        let mut a = Vec::new();
-        let mut b = Vec::new();
-        for round in 1..=4 {
-            let actions = [tx(round as u32), rx(), tx(100 + round as u32), rx()];
-            serial.resolve_round(round, &actions, &mut a);
-            sharded.resolve_round(round, &actions, &mut b);
-            assert_eq!(a, b, "round {round}");
+        let g = line4();
+        let mut serial = sim(AllExtraEdges, 1);
+        let mut sharded = sim(AllExtraEdges, 3);
+        assert_eq!(Channel::<u32>::shards(&sharded), 3);
+        for round in 1..=4u32 {
+            let messages = [Some(round), None, Some(100 + round), None];
+            assert_eq!(
+                hear(&mut serial, &g, u64::from(round), &messages),
+                hear(&mut sharded, &g, u64::from(round), &messages),
+                "round {round}"
+            );
         }
     }
 
     #[test]
     fn mock_net_zero_delay_matches_sim_on_reliable_links() {
-        let mut sim = SimTransport::new(line4(), Box::new(NoExtraEdges));
-        let mut mock = MockNetTransport::new(
-            line4(),
-            MockNetConfig {
-                links: LinkSet::Reliable,
-                ..MockNetConfig::default()
-            },
-            0xFEED,
-        );
-        let mut a = Vec::new();
-        let mut b = Vec::new();
+        let g = line4();
+        let mut sim = sim(NoExtraEdges, 1);
+        let mut mock = mock(4, reliable(0), 0xFEED);
         for round in 1..=6 {
-            let actions = match round % 3 {
-                0 => [tx(1), rx(), tx(2), rx()],
-                1 => [rx(), tx(3), rx(), rx()],
-                _ => [tx(4), rx(), rx(), tx(5)],
+            let messages = match round % 3 {
+                0 => [Some(1), None, Some(2), None],
+                1 => [None, Some(3), None, None],
+                _ => [Some(4), None, None, Some(5)],
             };
-            sim.resolve_round(round, &actions, &mut a);
-            mock.resolve_round(round, &actions, &mut b);
-            // Transmitter entries are unspecified; compare listeners.
+            let a = hear(&mut sim, &g, round, &messages);
+            let b = hear(&mut mock, &g, round, &messages);
+            // Transmitters never listen; compare listeners.
             for u in 0..4 {
-                if matches!(actions[u], Action::Receive) {
+                if messages[u].is_none() {
                     assert_eq!(a[u], b[u], "round {round}, u {u}");
                 }
             }
@@ -510,27 +340,20 @@ mod tests {
     #[test]
     fn mock_net_delays_delivery_by_the_configured_rounds() {
         let g = DualGraph::reliable_only(2, [(0, 1)]).unwrap();
-        let mut mock = MockNetTransport::new(
-            g,
-            MockNetConfig {
-                links: LinkSet::Reliable,
-                delay_rounds: 2,
-                ..MockNetConfig::default()
-            },
-            1,
-        );
-        let mut out = Vec::new();
-        mock.resolve_round(1, &[tx(7), rx()], &mut out);
-        assert_eq!(out[1], Reception::Silence, "in flight");
-        mock.resolve_round(2, &[rx(), rx()], &mut out);
-        assert_eq!(out[1], Reception::Silence, "still in flight");
-        mock.resolve_round(3, &[rx(), rx()], &mut out);
+        let mut mock = mock(2, reliable(2), 1);
         assert_eq!(
-            out[1],
-            Reception::Message {
-                from: NodeId(0),
-                msg: 7
-            },
+            hear(&mut mock, &g, 1, &[Some(7), None])[1],
+            Got::Silence,
+            "in flight"
+        );
+        assert_eq!(
+            hear(&mut mock, &g, 2, &[None, None])[1],
+            Got::Silence,
+            "still in flight"
+        );
+        assert_eq!(
+            hear(&mut mock, &g, 3, &[None, None])[1],
+            Got::Msg(0, 7),
             "arrives two rounds after transmission"
         );
     }
@@ -538,56 +361,37 @@ mod tests {
     #[test]
     fn mock_net_discards_arrivals_at_a_transmitting_receiver() {
         let g = DualGraph::reliable_only(2, [(0, 1)]).unwrap();
-        let mut mock = MockNetTransport::new(
-            g,
-            MockNetConfig {
-                links: LinkSet::Reliable,
-                delay_rounds: 1,
-                ..MockNetConfig::default()
-            },
-            1,
-        );
-        let mut out = Vec::new();
-        mock.resolve_round(1, &[tx(7), rx()], &mut out);
+        let mut mock = mock(2, reliable(1), 1);
+        hear(&mut mock, &g, 1, &[Some(7), None]);
         // Node 1 transmits exactly when node 0's message arrives: lost.
-        mock.resolve_round(2, &[rx(), tx(8)], &mut out);
-        mock.resolve_round(3, &[rx(), rx()], &mut out);
-        assert_eq!(out[1], Reception::Silence, "not buffered past arrival");
+        hear(&mut mock, &g, 2, &[None, Some(8)]);
+        let out = hear(&mut mock, &g, 3, &[None, None]);
+        assert_eq!(out[1], Got::Silence, "not buffered past arrival");
     }
 
     #[test]
     fn partition_window_cuts_crossing_links_only_while_active() {
         let g = DualGraph::reliable_only(3, [(0, 1), (1, 2)]).unwrap();
-        let mut mock = MockNetTransport::new(
-            g,
-            MockNetConfig {
-                links: LinkSet::Reliable,
-                partitions: vec![PartitionWindow {
-                    nodes: vec![0],
-                    from: 2,
-                    to: 3,
-                }],
-                ..MockNetConfig::default()
-            },
-            1,
-        );
-        let mut out = Vec::new();
+        let config = MockNetConfig {
+            partitions: vec![PartitionWindow {
+                nodes: vec![0],
+                from: 2,
+                to: 3,
+            }],
+            ..reliable(0)
+        };
+        let mut mock = mock(3, config, 1);
         for round in 1..=4 {
-            mock.resolve_round(round, &[tx(round as u32), rx(), tx(50)], &mut out);
-            let heard = matches!(out[1], Reception::Message { .. } | Reception::Collision);
+            let out = hear(&mut mock, &g, round, &[Some(round as u32), None, Some(50)]);
             if (2..=3).contains(&round) {
                 // 0→1 is cut, so only 2's copy arrives: a clean delivery.
                 assert_eq!(
                     out[1],
-                    Reception::Message {
-                        from: NodeId(2),
-                        msg: 50
-                    },
+                    Got::Msg(2, 50),
                     "round {round}: the uncut side still delivers"
                 );
             } else {
-                assert!(heard, "round {round}");
-                assert_eq!(out[1], Reception::Collision, "both sides reach 1");
+                assert_eq!(out[1], Got::Collision, "round {round}: both sides reach 1");
             }
         }
     }
@@ -596,20 +400,15 @@ mod tests {
     fn loss_coins_are_deterministic_and_seed_sensitive() {
         let g = DualGraph::reliable_only(2, [(0, 1)]).unwrap();
         let run = |seed: u64| {
-            let mut mock = MockNetTransport::new(
-                g.clone(),
-                MockNetConfig {
-                    links: LinkSet::Reliable,
-                    loss_p: 0.5,
-                    ..MockNetConfig::default()
-                },
-                seed,
-            );
-            let mut out = Vec::new();
+            let config = MockNetConfig {
+                loss_p: 0.5,
+                ..reliable(0)
+            };
+            let mut mock = mock(2, config, seed);
             (1..=64)
                 .map(|round| {
-                    mock.resolve_round(round, &[tx(round as u32), rx()], &mut out);
-                    matches!(out[1], Reception::Message { .. })
+                    let out = hear(&mut mock, &g, round, &[Some(round as u32), None]);
+                    matches!(out[1], Got::Msg(..))
                 })
                 .collect::<Vec<bool>>()
         };
@@ -618,5 +417,59 @@ mod tests {
         assert_ne!(a, run(8), "loss pattern tracks the seed");
         let delivered = a.iter().filter(|&&d| d).count();
         assert!((10..=54).contains(&delivered), "p = 0.5 loses about half");
+    }
+
+    /// The mock network plugs into the engine as its channel: a beacon
+    /// on node 0 reaches node 1 over the reliable link.
+    #[test]
+    fn mock_net_engine_delivers_over_links() {
+        use radio_sim::engine::{Configuration, Engine};
+        use radio_sim::environment::NullEnvironment;
+        use radio_sim::process::{Action, Context, Process};
+        use radio_sim::trace::RecordingPolicy;
+
+        struct Beacon {
+            transmits: bool,
+            heard: Vec<u32>,
+        }
+        impl Process for Beacon {
+            type Msg = u32;
+            type Input = ();
+            type Output = u32;
+            fn on_input(&mut self, _input: (), _ctx: &mut Context<'_>) {}
+            fn transmit(&mut self, ctx: &mut Context<'_>) -> Action<u32> {
+                if self.transmits && ctx.round == 1 {
+                    Action::Transmit(7)
+                } else {
+                    Action::Receive
+                }
+            }
+            fn on_receive(&mut self, msg: Option<u32>, _ctx: &mut Context<'_>) {
+                self.heard.extend(msg);
+            }
+            fn take_outputs(&mut self) -> Vec<u32> {
+                std::mem::take(&mut self.heard)
+            }
+        }
+
+        let g = DualGraph::reliable_only(2, [(0, 1)]).unwrap();
+        let config =
+            Configuration::new(g, Box::new(NoExtraEdges)).with_recording(RecordingPolicy::full());
+        let procs = [true, false].map(|transmits| Beacon {
+            transmits,
+            heard: Vec::new(),
+        });
+        let mut engine = Engine::with_channel(
+            config,
+            |_, _| mock(2, reliable(0), 1),
+            procs.into(),
+            Box::new(NullEnvironment),
+            1,
+        );
+        engine.run(2);
+        let outs: Vec<_> = engine.trace().outputs().collect();
+        assert_eq!(outs.len(), 1);
+        assert_eq!(*outs[0].2, 7);
+        assert_eq!(outs[0].1, NodeId(1));
     }
 }

@@ -1,10 +1,13 @@
 //! Fault-injection tests for the mock network: delay, Bernoulli loss,
 //! partition windows — and determinism of all three under a fixed seed.
 
-use net::{Cluster, ClusterConfig, LinkSet, MockNetConfig, MockNetTransport, PartitionWindow};
+use net::{LinkSet, MockNetConfig, MockNetTransport, PartitionWindow};
+use radio_sim::engine::{Configuration, Engine};
 use radio_sim::environment::NullEnvironment;
+use radio_sim::fault::FaultPlan;
 use radio_sim::graph::{DualGraph, NodeId};
 use radio_sim::process::{Action, Context, Process};
+use radio_sim::scheduler::NoExtraEdges;
 use radio_sim::trace::{RecordingPolicy, Trace};
 
 /// Transmits its fixed message on configured rounds, outputs every
@@ -55,6 +58,32 @@ fn line5() -> DualGraph {
     DualGraph::reliable_only(5, [(0, 1), (1, 2), (2, 3), (3, 4)]).unwrap()
 }
 
+/// Runs beacons on the engine over the mock network, with full
+/// recording and the given engine-level fault plan.
+fn run_faulted_beacons(
+    graph: DualGraph,
+    config: MockNetConfig,
+    faults: FaultPlan,
+    specs: Vec<(u32, Vec<u64>)>,
+    rounds: u64,
+    seed: u64,
+) -> Trace<(), u32, u32> {
+    let procs: Vec<Beacon> = specs.into_iter().map(|(m, r)| Beacon::new(m, r)).collect();
+    let n = procs.len();
+    let engine_config = Configuration::new(graph, Box::new(NoExtraEdges))
+        .with_recording(RecordingPolicy::full())
+        .with_faults(faults);
+    let mut engine = Engine::with_channel(
+        engine_config,
+        |_, _| MockNetTransport::new(n, config, seed),
+        procs,
+        Box::new(NullEnvironment),
+        seed,
+    );
+    engine.run(rounds);
+    engine.into_trace()
+}
+
 fn run_beacons(
     graph: DualGraph,
     config: MockNetConfig,
@@ -62,18 +91,7 @@ fn run_beacons(
     rounds: u64,
     seed: u64,
 ) -> Trace<(), u32, u32> {
-    let procs = specs.into_iter().map(|(m, r)| Beacon::new(m, r)).collect();
-    let transport = MockNetTransport::new(graph.clone(), config, seed);
-    let cluster_config = ClusterConfig::new(graph).with_recording(RecordingPolicy::full());
-    let mut cluster = Cluster::new(
-        cluster_config,
-        transport,
-        procs,
-        Box::new(NullEnvironment),
-        seed,
-    );
-    cluster.run(rounds);
-    cluster.into_trace()
+    run_faulted_beacons(graph, config, FaultPlan::none(), specs, rounds, seed)
 }
 
 #[test]
@@ -226,23 +244,17 @@ fn partition_window_isolates_and_heals() {
 fn faults_compose_with_the_mock_network() {
     // A drop burst (engine-level fault) on top of mock-net loss: both
     // thinning mechanisms apply, from independent streams.
-    use radio_sim::fault::FaultPlan;
-    let g = DualGraph::reliable_only(2, [(0, 1)]).unwrap();
-    let transport = MockNetTransport::new(
-        g.clone(),
+    let trace = run_faulted_beacons(
+        DualGraph::reliable_only(2, [(0, 1)]).unwrap(),
         MockNetConfig {
             loss_p: 0.3,
             ..MockNetConfig::default()
         },
+        FaultPlan::none().with_drop_burst(10, 20, 1.0),
+        vec![(7, (1..=30).collect()), (0, vec![])],
+        30,
         21,
     );
-    let config = ClusterConfig::new(g)
-        .with_recording(RecordingPolicy::full())
-        .with_faults(FaultPlan::none().with_drop_burst(10, 20, 1.0));
-    let procs = vec![Beacon::new(7, (1..=30).collect()), Beacon::new(0, vec![])];
-    let mut cluster = Cluster::new(config, transport, procs, Box::new(NullEnvironment), 21);
-    cluster.run(30);
-    let trace = cluster.into_trace();
     let totals = trace.total_stats();
     // Inside the burst every mock-net survivor is dropped at the
     // receiver; outside it only mock-net loss applies.
@@ -283,4 +295,93 @@ fn mock_net_runs_are_deterministic_end_to_end() {
     let b = run_beacons(g(), config(), specs(), 20, 33);
     assert_eq!(a.events, b.events);
     assert_eq!(a.round_stats, b.round_stats);
+}
+
+#[test]
+fn mock_net_routes_over_the_epoch_graph_the_engine_swaps_in() {
+    // Epoch 1 (rounds 1-2) links 0-1; epoch 2 (rounds 3+) links 0-2.
+    // The engine owns the timeline and hands the mock network each
+    // round's snapshot, so deliveries follow the epoch schedule.
+    use radio_sim::timeline::GraphTimeline;
+    use std::sync::Arc;
+    let a = Arc::new(DualGraph::reliable_only(3, [(0, 1)]).unwrap());
+    let b = Arc::new(DualGraph::reliable_only(3, [(0, 2)]).unwrap());
+    let timeline = GraphTimeline::new([(1, Arc::clone(&a)), (3, b)]).unwrap();
+    let config = Configuration::new(a, Box::new(NoExtraEdges))
+        .with_recording(RecordingPolicy::full())
+        .with_timeline(timeline);
+    let procs = vec![
+        Beacon::new(7, vec![1, 2, 3, 4]),
+        Beacon::new(0, vec![]),
+        Beacon::new(0, vec![]),
+    ];
+    let mut engine = Engine::with_channel(
+        config,
+        |_, _| MockNetTransport::new(3, MockNetConfig::default(), 5),
+        procs,
+        Box::new(NullEnvironment),
+        5,
+    );
+    engine.run(4);
+    assert_eq!(engine.epoch(), 1);
+    let recvs: Vec<(u64, NodeId)> = engine
+        .trace()
+        .receptions()
+        .map(|(t, v, _, _)| (t, v))
+        .collect();
+    assert_eq!(
+        recvs,
+        vec![
+            (1, NodeId(1)),
+            (2, NodeId(1)),
+            (3, NodeId(2)),
+            (4, NodeId(2))
+        ]
+    );
+}
+
+#[test]
+fn telemetry_leaves_mock_net_traces_byte_identical() {
+    // Telemetry observes the mock-net engine exactly as it does the
+    // simulator: same events and stats with it on or off, and counters
+    // that match the trace.
+    let run = |telemetry: bool| {
+        let procs: Vec<Beacon> = (0..5u32)
+            .map(|v| {
+                let tx_rounds = (1..=12).filter(|r| r % (u64::from(v) + 2) == 0).collect();
+                Beacon::new(v, tx_rounds)
+            })
+            .collect();
+        let config = Configuration::new(line5(), Box::new(NoExtraEdges))
+            .with_recording(RecordingPolicy::full())
+            .with_faults(FaultPlan::none().with_drop_burst(3, 8, 0.5))
+            .with_telemetry(telemetry);
+        let net = MockNetConfig {
+            delay_rounds: 1,
+            loss_p: 0.2,
+            ..MockNetConfig::default()
+        };
+        let mut engine = Engine::with_channel(
+            config,
+            |_, _| MockNetTransport::new(5, net, 9),
+            procs,
+            Box::new(NullEnvironment),
+            9,
+        );
+        engine.run(12);
+        let metrics = engine.take_telemetry();
+        (engine.into_trace(), metrics)
+    };
+    let (plain, none) = run(false);
+    let (observed, metrics) = run(true);
+    assert!(none.is_none());
+    assert_eq!(plain.events, observed.events);
+    assert_eq!(plain.round_stats, observed.round_stats);
+    let m = metrics.expect("telemetry on");
+    let totals = observed.total_stats();
+    assert_eq!(m.rounds, 12);
+    assert_eq!(m.transmissions, totals.transmitters as u64);
+    assert_eq!(m.deliveries, totals.deliveries as u64);
+    assert_eq!(m.dropped, totals.dropped as u64);
+    assert_eq!(m.shard_busy_ns.len(), 1);
 }

@@ -1,16 +1,18 @@
-//! End-to-end: the paper's algorithms running as multi-node clusters
-//! over a transport, unmodified — broadcast-and-ack over the mock
-//! network, and the keystone equivalence: when the mock network's delay
-//! model matches the synchronous round structure (delay 0, no loss, no
-//! partitions), executions byte-compare equal to the simulator's.
+//! End-to-end: the paper's algorithms running unmodified on the engine
+//! over the mock-network channel — broadcast-and-ack, and the keystone
+//! equivalence: when the mock network's delay model matches the
+//! synchronous round structure (delay 0, no loss, no partitions),
+//! executions byte-compare equal to the simulator's.
 
 use local_broadcast::config::LbConfig;
 use local_broadcast::service::QueueWorkload;
 use local_broadcast::{LbOutput, LbProcess, Payload};
-use net::{Cluster, ClusterConfig, MockNetConfig, MockNetTransport, SimTransport};
-use radio_sim::engine::Engine;
+use net::{MockNetConfig, MockNetTransport};
+use radio_sim::engine::{Configuration, Engine};
+use radio_sim::environment::Environment;
 use radio_sim::environment::NullEnvironment;
 use radio_sim::graph::NodeId;
+use radio_sim::process::Process;
 use radio_sim::scheduler::AllExtraEdges;
 use radio_sim::topology;
 use radio_sim::trace::RecordingPolicy;
@@ -24,7 +26,26 @@ fn single_payload(n: usize, sender: NodeId) -> QueueWorkload {
     QueueWorkload::new(queues, 1)
 }
 
-/// Broadcast-and-ack over the mock network: an `LbProcess` cluster where
+/// An engine over the mock network with `config`'s graph, ids, and
+/// recording (the mock network replaces the scheduler as the channel).
+fn mock_engine<P: Process>(
+    config: Configuration,
+    net: MockNetConfig,
+    procs: Vec<P>,
+    env: Box<dyn Environment<P::Input, P::Output>>,
+    seed: u64,
+) -> Engine<P, MockNetTransport<P::Msg>> {
+    let n = procs.len();
+    Engine::with_channel(
+        config,
+        |_, _| MockNetTransport::new(n, net, seed),
+        procs,
+        env,
+        seed,
+    )
+}
+
+/// Broadcast-and-ack over the mock network: an `LbProcess` engine where
 /// node 0 broadcasts one message; every node receives it and the sender
 /// acks — the service works end-to-end with the simulator out of the
 /// loop entirely.
@@ -35,21 +56,19 @@ fn lb_broadcast_acks_over_the_mock_network() {
     let params = cfg.resolve(topo.r, topo.graph.delta(), topo.graph.delta_prime());
     let n = topo.graph.len();
     let procs: Vec<LbProcess> = (0..n).map(|_| LbProcess::new(cfg.clone())).collect();
-    let transport = MockNetTransport::new(topo.graph.clone(), MockNetConfig::default(), 17);
-    let config = ClusterConfig::new(topo.graph.clone()).with_r(topo.r);
-    let mut cluster = Cluster::new(
-        config,
-        transport,
+    let mut engine = mock_engine(
+        topo.configuration(Box::new(AllExtraEdges)),
+        MockNetConfig::default(),
         procs,
         Box::new(single_payload(n, NodeId(0))),
         17,
     );
     let horizon = params.t_ack_rounds() + params.phase_len();
-    let acked = cluster.run_until(horizon, |t| {
+    let acked = engine.run_until(horizon, |t| {
         t.outputs().any(|(_, v, o)| v == NodeId(0) && o.is_ack())
     });
     assert!(acked, "the sender acks within t_ack over the mock network");
-    let trace = cluster.into_trace();
+    let trace = engine.into_trace();
     let ack_round = trace
         .outputs()
         .find(|(_, v, o)| *v == NodeId(0) && o.is_ack())
@@ -77,25 +96,19 @@ fn lb_broadcast_completes_under_delivery_delay() {
     let params = cfg.resolve(topo.r, topo.graph.delta(), topo.graph.delta_prime());
     let n = topo.graph.len();
     let procs: Vec<LbProcess> = (0..n).map(|_| LbProcess::new(cfg.clone())).collect();
-    let transport = MockNetTransport::new(
-        topo.graph.clone(),
+    let mut engine = mock_engine(
+        topo.configuration(Box::new(AllExtraEdges)),
         MockNetConfig {
             delay_rounds: 2,
             ..MockNetConfig::default()
         },
-        19,
-    );
-    let config = ClusterConfig::new(topo.graph.clone()).with_r(topo.r);
-    let mut cluster = Cluster::new(
-        config,
-        transport,
         procs,
         Box::new(single_payload(n, NodeId(0))),
         19,
     );
     // Acks are deterministic in LBAlg (always within t_ack); receptions
     // under delay are not guaranteed, so assert only the ack.
-    let acked = cluster.run_until(params.t_ack_rounds() + params.phase_len(), |t| {
+    let acked = engine.run_until(params.t_ack_rounds() + params.phase_len(), |t| {
         t.outputs().any(|(_, v, o)| v == NodeId(0) && o.is_ack())
     });
     assert!(acked, "t_ack holds regardless of the channel");
@@ -124,29 +137,27 @@ fn mock_net_matching_the_round_structure_equals_the_simulator() {
     let reference = engine.into_trace();
 
     let procs: Vec<LbProcess> = (0..n).map(|_| LbProcess::new(cfg.clone())).collect();
-    let transport = MockNetTransport::new(topo.graph.clone(), MockNetConfig::default(), seed);
-    let config = ClusterConfig::new(topo.graph.clone())
-        .with_r(topo.r)
+    let config = topo
+        .configuration(Box::new(AllExtraEdges))
         .with_recording(RecordingPolicy::full());
-    let mut cluster = Cluster::new(
+    let mut mock = mock_engine(
         config,
-        transport,
+        MockNetConfig::default(),
         procs,
         Box::new(single_payload(n, NodeId(0))),
         seed,
     );
-    cluster.run(rounds);
-    let trace = cluster.into_trace();
+    mock.run(rounds);
+    let trace = mock.into_trace();
 
     assert_eq!(reference.events, trace.events);
     assert_eq!(reference.round_stats, trace.round_stats);
     assert_eq!(reference.rounds, trace.rounds);
 }
 
-/// Seed agreement over both substrates: the cluster (over either
-/// transport) produces executions satisfying the deterministic `Seed`
-/// conditions, and the sim-transport run is byte-identical to the
-/// engine's.
+/// Seed agreement over both channels: the sim and zero-delay mock-net
+/// executions are byte-identical, and both satisfy the deterministic
+/// `Seed` conditions.
 #[test]
 fn seed_agreement_runs_on_both_substrates() {
     let topo = topology::line(6, 0.9, 2.0);
@@ -165,28 +176,23 @@ fn seed_agreement_runs_on_both_substrates() {
     seed_spec::check_consistency(&reference).unwrap();
 
     let procs: Vec<SeedProcess> = (0..6).map(|_| SeedProcess::new(cfg.clone())).collect();
-    let transport = SimTransport::new(topo.graph.clone(), Box::new(AllExtraEdges));
-    let config = ClusterConfig::new(topo.graph.clone())
-        .with_r(topo.r)
+    let config = topo
+        .configuration(Box::new(AllExtraEdges))
         .with_recording(RecordingPolicy::full());
-    let mut sim_cluster = Cluster::new(config, transport, procs, Box::new(NullEnvironment), seed);
-    sim_cluster.run(total);
-    let sim_trace = sim_cluster.into_trace();
-    assert_eq!(reference.events, sim_trace.events);
-    assert_eq!(reference.round_stats, sim_trace.round_stats);
-
-    let procs: Vec<SeedProcess> = (0..6).map(|_| SeedProcess::new(cfg.clone())).collect();
-    let transport = MockNetTransport::new(topo.graph.clone(), MockNetConfig::default(), seed);
-    let config = ClusterConfig::new(topo.graph.clone())
-        .with_r(topo.r)
-        .with_recording(RecordingPolicy::full());
-    let mut mock_cluster = Cluster::new(config, transport, procs, Box::new(NullEnvironment), seed);
-    mock_cluster.run(total);
-    let mock_trace = mock_cluster.into_trace();
+    let mut mock = mock_engine(
+        config,
+        MockNetConfig::default(),
+        procs,
+        Box::new(NullEnvironment),
+        seed,
+    );
+    mock.run(total);
+    let mock_trace = mock.into_trace();
     assert_eq!(
         reference.events, mock_trace.events,
         "zero-delay mock net reproduces the simulator for seed agreement too"
     );
+    assert_eq!(reference.round_stats, mock_trace.round_stats);
     seed_spec::check_well_formedness(&mock_trace).unwrap();
     seed_spec::check_consistency(&mock_trace).unwrap();
 }

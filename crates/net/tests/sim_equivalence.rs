@@ -1,25 +1,23 @@
-//! Property: a [`net::Cluster`] over [`net::SimTransport`] is
-//! byte-for-byte the engine — same events, same channel stats — across
-//! random topologies, schedulers, shard counts, and fault plans. This is
-//! the refactor's load-bearing invariant: the transport trait added a
-//! seam, not a behavior.
+//! Property: the synchronous mock network — zero delay, no loss, no
+//! partitions, routing over every `G'` link — is byte-for-byte the sim
+//! channel under the `AllExtraEdges` scheduler: same events, same
+//! channel stats, across random topologies, fault plans, and sim shard
+//! counts. Both run on the one engine, so this pins the channels alone.
 
-use net::{Cluster, ClusterConfig, SimTransport};
+use net::{LinkSet, MockNetConfig, MockNetTransport};
 use proptest::prelude::*;
 use radio_sim::engine::{Configuration, Engine};
 use radio_sim::environment::NullEnvironment;
 use radio_sim::fault::FaultPlan;
 use radio_sim::graph::NodeId;
 use radio_sim::process::{Action, Context, Process};
-use radio_sim::scheduler::{
-    AllExtraEdges, BernoulliEdges, LinkScheduler, NoExtraEdges,
-};
+use radio_sim::scheduler::{AllExtraEdges, LinkScheduler, NoExtraEdges};
 use radio_sim::topology::{self, RggParams};
 use radio_sim::trace::RecordingPolicy;
 
 /// Transmits on a seed-and-vertex-dependent schedule, relays the last
 /// heard message — enough state to make any desynchronization between
-/// the two executors cascade into a visible trace difference.
+/// the two channels cascade into a visible trace difference.
 #[derive(Clone)]
 struct Chatter {
     vertex: u32,
@@ -67,14 +65,6 @@ fn chatters(n: usize, period: u64) -> Vec<Chatter> {
         .collect()
 }
 
-fn scheduler_for(kind: u8, p: f64, seed: u64) -> Box<dyn LinkScheduler> {
-    match kind % 3 {
-        0 => Box::new(AllExtraEdges),
-        1 => Box::new(NoExtraEdges),
-        _ => Box::new(BernoulliEdges::new(p, seed)),
-    }
-}
-
 fn fault_plan_for(kind: u8, n: usize, drop_p: f64) -> FaultPlan {
     let plan = FaultPlan::none();
     match kind % 4 {
@@ -89,70 +79,113 @@ fn fault_plan_for(kind: u8, n: usize, drop_p: f64) -> FaultPlan {
     }
 }
 
+/// One random execution: topology, seeds, faults, and workload shape.
+struct Case {
+    n: usize,
+    topo_seed: u64,
+    master_seed: u64,
+    faults: FaultPlan,
+    shards: usize,
+    period: u64,
+    rounds: u64,
+}
+
+/// Runs the chatters once over the sim channel under `scheduler` and
+/// once over the zero-delay, lossless, unpartitioned mock network over
+/// `links`, and asserts the traces are byte-identical.
+fn assert_channels_agree(
+    scheduler: fn() -> Box<dyn LinkScheduler>,
+    links: LinkSet,
+    case: Case,
+) -> Result<(), TestCaseError> {
+    let Case {
+        n,
+        topo_seed,
+        master_seed,
+        faults,
+        shards,
+        period,
+        rounds,
+    } = case;
+    let topo = topology::random_geometric(RggParams {
+        n,
+        side: 3.0,
+        r: 2.0,
+        grey_reliable_p: 0.2,
+        grey_unreliable_p: 0.7,
+        seed: topo_seed,
+    });
+    let config = || {
+        Configuration::new(topo.graph.clone(), scheduler())
+            .with_r(topo.r)
+            .with_recording(RecordingPolicy::full())
+            .with_faults(faults.clone())
+            .with_shards(shards)
+    };
+
+    let mut sim = Engine::new(
+        config(),
+        chatters(n, period),
+        Box::new(NullEnvironment),
+        master_seed,
+    );
+    sim.run(rounds);
+    let reference = sim.into_trace();
+
+    let synchronous = MockNetConfig {
+        links,
+        ..MockNetConfig::default()
+    };
+    let mut mock = Engine::with_channel(
+        config(),
+        |_, _| MockNetTransport::new(n, synchronous, master_seed),
+        chatters(n, period),
+        Box::new(NullEnvironment),
+        master_seed,
+    );
+    mock.run(rounds);
+    let trace = mock.into_trace();
+
+    prop_assert_eq!(&reference.events, &trace.events);
+    prop_assert_eq!(&reference.round_stats, &trace.round_stats);
+    prop_assert_eq!(reference.rounds, trace.rounds);
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     #[test]
-    fn sim_cluster_is_byte_identical_to_the_engine(
+    fn synchronous_mock_net_is_byte_identical_to_the_sim_channel(
         n in 8usize..40,
         topo_seed in 0u64..1000,
         master_seed in 0u64..1000,
-        sched_kind in 0u8..3,
-        sched_p in 0.1f64..0.9,
         fault_kind in 0u8..4,
         drop_p in 0.0f64..1.0,
         shards in 1usize..5,
         period in 2u64..6,
         rounds in 4u64..16,
     ) {
-        let topo = topology::random_geometric(RggParams {
-            n,
-            side: 3.0,
-            r: 2.0,
-            grey_reliable_p: 0.2,
-            grey_unreliable_p: 0.7,
-            seed: topo_seed,
-        });
         let faults = fault_plan_for(fault_kind, n, drop_p);
+        let case = Case { n, topo_seed, master_seed, faults, shards, period, rounds };
+        assert_channels_agree(|| Box::new(AllExtraEdges), LinkSet::All, case)?;
+    }
 
-        let config = Configuration::new(
-                topo.graph.clone(),
-                scheduler_for(sched_kind, sched_p, topo_seed),
-            )
-            .with_r(topo.r)
-            .with_recording(RecordingPolicy::full())
-            .with_faults(faults.clone())
-            .with_shards(shards);
-        let mut engine = Engine::new(
-            config,
-            chatters(n, period),
-            Box::new(NullEnvironment),
-            master_seed,
-        );
-        engine.run(rounds);
-        let reference = engine.into_trace();
-
-        let transport = SimTransport::new(
-                topo.graph.clone(),
-                scheduler_for(sched_kind, sched_p, topo_seed),
-            )
-            .with_shards(shards);
-        let config = ClusterConfig::new(topo.graph.clone())
-            .with_r(topo.r)
-            .with_recording(RecordingPolicy::full())
-            .with_faults(faults);
-        let mut cluster = Cluster::new(
-            config,
-            transport,
-            chatters(n, period),
-            Box::new(NullEnvironment),
-            master_seed,
-        );
-        cluster.run(rounds);
-        let trace = cluster.into_trace();
-
-        prop_assert_eq!(&reference.events, &trace.events);
-        prop_assert_eq!(&reference.round_stats, &trace.round_stats);
-        prop_assert_eq!(reference.rounds, trace.rounds);
+    /// The `G_t = G` corner: the mock network over reliable links only
+    /// is the sim channel under `NoExtraEdges`.
+    #[test]
+    fn reliable_mock_net_is_byte_identical_to_the_sim_channel_without_extra_edges(
+        n in 8usize..40,
+        topo_seed in 0u64..1000,
+        master_seed in 0u64..1000,
+        fault_kind in 0u8..4,
+        drop_p in 0.0f64..1.0,
+        shards in 1usize..5,
+        period in 2u64..6,
+        rounds in 4u64..16,
+    ) {
+        let faults = fault_plan_for(fault_kind, n, drop_p);
+        let case = Case { n, topo_seed, master_seed, faults, shards, period, rounds };
+        assert_channels_agree(|| Box::new(NoExtraEdges), LinkSet::Reliable, case)?;
     }
 }

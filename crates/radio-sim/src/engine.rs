@@ -8,11 +8,16 @@
 //!
 //! Each round follows the Section 2 step order exactly:
 //! environment inputs → transmit decisions → collision-resolved reception →
-//! outputs. The collision rule: `u` receives `m` from `v` iff `u`
-//! listens, `v` transmits `m`, and `v` is the **only** transmitter among
-//! `u`'s neighbors in the round's topology; otherwise `u` gets `⊥`
-//! (no collision detection).
+//! outputs. This is the one round loop; only the reception step
+//! is delegated, to a [`Channel`]. The default [`SimChannel`] applies the
+//! model's collision rule: `u` receives `m` from `v` iff `u` listens,
+//! `v` transmits `m`, and `v` is the **only** transmitter among `u`'s
+//! neighbors in the round's topology; otherwise `u` gets `⊥` (no
+//! collision detection). Other channels (the `net` crate's mock network)
+//! plug in through [`Engine::with_channel`] and inherit everything else:
+//! faults, dynamic geometry, traces, and telemetry.
 
+use crate::channel::{Channel, Heard, OnAir, SimChannel};
 use crate::environment::Environment;
 use crate::fault::FaultPlan;
 use crate::graph::{DualGraph, NodeId};
@@ -181,18 +186,19 @@ impl Configuration {
     }
 }
 
-/// The synchronous executor for processes of type `P`.
-pub struct Engine<P: Process> {
+/// The synchronous executor for processes of type `P`, resolving
+/// receptions through channel `C` (the model's [`SimChannel`] unless
+/// built with [`Engine::with_channel`]).
+pub struct Engine<P: Process, C: Channel<P::Msg> = SimChannel> {
     graph: Arc<DualGraph>,
     /// The epoch schedule `graph` is swapped from, if geometry is
     /// dynamic; `epoch` is the index of the epoch `graph` came from.
     timeline: Option<GraphTimeline>,
     epoch: usize,
-    scheduler: SchedulerBox,
+    channel: C,
     r: f64,
     recording: RecordingPolicy,
     faults: FaultPlan,
-    shards: usize,
     master_seed: u64,
     delta: usize,
     delta_prime: usize,
@@ -221,8 +227,6 @@ pub struct Engine<P: Process> {
     messages: Vec<Option<P::Msg>>,
     /// This round's transmitters, in vertex order.
     tx_list: Vec<usize>,
-    tx_neighbors: Vec<u32>,
-    last_sender: Vec<NodeId>,
     trace: Trace<P::Input, P::Output, P::Msg>,
     /// Metrics sink, present iff the configuration enabled telemetry.
     /// Boxed so the disabled engine doesn't carry the 16 KiB histogram;
@@ -234,13 +238,37 @@ pub struct Engine<P: Process> {
 impl<P: Process> Engine<P> {
     /// Builds an engine from a configuration, one process per vertex, an
     /// environment, and the master seed from which all per-node random
-    /// streams derive.
+    /// streams derive. Receptions resolve over the model's channel,
+    /// built from the configuration's scheduler and shard count.
     ///
     /// # Panics
     ///
     /// Panics if `procs.len()` differs from the graph's vertex count.
     pub fn new(
         config: Configuration,
+        procs: Vec<P>,
+        env: Box<dyn Environment<P::Input, P::Output>>,
+        master_seed: u64,
+    ) -> Self {
+        Engine::with_channel(config, SimChannel::new, procs, env, master_seed)
+    }
+}
+
+impl<P: Process, C: Channel<P::Msg>> Engine<P, C> {
+    /// Builds an engine whose reception step runs over the channel that
+    /// `channel` makes from the configuration's scheduler and shard
+    /// count. [`SimChannel::new`] consumes both (this is
+    /// [`Engine::new`]); a channel with its own link model, such as the
+    /// `net` crate's mock network, ignores them. Everything else in the
+    /// configuration — graph, timeline, ids, faults, recording,
+    /// telemetry — applies to every channel alike.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `procs.len()` differs from the graph's vertex count.
+    pub fn with_channel(
+        config: Configuration,
+        channel: impl FnOnce(SchedulerBox, usize) -> C,
         procs: Vec<P>,
         env: Box<dyn Environment<P::Input, P::Output>>,
         master_seed: u64,
@@ -257,19 +285,19 @@ impl<P: Process> Engine<P> {
             Some(t) => (t.delta(), t.delta_prime()),
             None => (config.graph.delta(), config.graph.delta_prime()),
         };
-        let trace = Trace::new(n, config.proc_ids.clone());
+        let trace = Trace::new(n, config.proc_ids);
+        let channel = channel(config.scheduler, config.shards);
         let telemetry = config
             .telemetry
-            .then(|| Box::new(telemetry::EngineMetrics::new(config.shards.max(1))));
+            .then(|| Box::new(telemetry::EngineMetrics::new(channel.shards())));
         Engine {
             graph: config.graph,
             timeline: config.timeline,
             epoch: 0,
-            scheduler: config.scheduler,
+            channel,
             r: config.r,
             recording: config.recording,
             faults: config.faults,
-            shards: config.shards.max(1),
             master_seed,
             delta,
             delta_prime,
@@ -286,8 +314,6 @@ impl<P: Process> Engine<P> {
             transmitting: vec![false; n],
             messages: (0..n).map(|_| None).collect(),
             tx_list: Vec::with_capacity(n),
-            tx_neighbors: vec![0; n],
-            last_sender: vec![NodeId(0); n],
             trace,
             telemetry,
         }
@@ -498,34 +524,15 @@ impl<P: Process> Engine<P> {
         }
         let transmit_ns = span.lap();
 
-        // Step 3: the scheduler fixes the round topology; resolve
-        // receptions under the collision rule.
-        let selection = match &mut self.scheduler {
-            SchedulerBox::Oblivious(s) => s.extra_edges(round, &self.graph),
-            SchedulerBox::Adaptive(s) => s.extra_edges(round, &self.graph, &self.transmitting),
+        // Step 3: the channel resolves this round's traffic; classify
+        // per listener (jamming, drop bursts) and deliver.
+        let on_air = OnAir {
+            transmitting: &self.transmitting,
+            tx_list: &self.tx_list,
+            messages: &self.messages,
         };
-
-        if self.shards > 1 {
-            let shard_busy = telem.as_deref_mut().map(|t| t.shard_busy_ns.as_mut_slice());
-            crate::resolve::resolve_receptions_sharded(
-                &self.graph,
-                &selection,
-                &self.transmitting,
-                self.shards,
-                &mut self.tx_neighbors,
-                &mut self.last_sender,
-                shard_busy,
-            );
-        } else {
-            crate::resolve::resolve_receptions_serial(
-                &self.graph,
-                &selection,
-                &self.transmitting,
-                &self.tx_list,
-                &mut self.tx_neighbors,
-                &mut self.last_sender,
-            );
-        }
+        let shard_busy = telem.as_deref_mut().map(|t| t.shard_busy_ns.as_mut_slice());
+        self.channel.resolve(round, &self.graph, &on_air, shard_busy);
         let resolve_ns = span.lap();
 
         // Channel stats feed the trace (under the recording policy)
@@ -539,7 +546,7 @@ impl<P: Process> Engine<P> {
         });
 
         // The drop-burst stream for this round, derived lazily: fault
-        // coins never touch process or scheduler randomness.
+        // coins never touch process, scheduler, or channel randomness.
         let mut fault_rng: Option<ChaCha8Rng> = None;
         for u in 0..n {
             if have_faults && self.down[u] {
@@ -559,62 +566,67 @@ impl<P: Process> Engine<P> {
                     s.jammed += 1;
                 }
                 None
-            } else if self.tx_neighbors[u] == 1 {
-                let from = self.last_sender[u];
-                // An otherwise-successful reception may still be lost to
-                // an active drop burst (one coin per burst, in vertex
-                // order, from the dedicated fault stream).
-                let mut suppressed = false;
-                if have_faults {
-                    for burst in self.faults.active_drops(round) {
-                        let rng = fault_rng.get_or_insert_with(|| {
-                            derive_stream(self.master_seed, StreamKind::Fault, round)
-                        });
-                        if rng.gen_bool(burst.p) {
-                            suppressed = true;
+            } else {
+                match self.channel.heard(u, &self.messages) {
+                    Heard::Message { from, msg } => {
+                        // An otherwise-successful reception may still be
+                        // lost to an active drop burst (one coin per
+                        // burst, in vertex order, from the dedicated
+                        // fault stream).
+                        let mut suppressed = false;
+                        if have_faults {
+                            for burst in self.faults.active_drops(round) {
+                                let rng = fault_rng.get_or_insert_with(|| {
+                                    derive_stream(self.master_seed, StreamKind::Fault, round)
+                                });
+                                if rng.gen_bool(burst.p) {
+                                    suppressed = true;
+                                }
+                            }
+                        }
+                        if suppressed {
+                            if self.recording.receptions {
+                                self.trace.events.push(Event {
+                                    round,
+                                    node: NodeId(u),
+                                    kind: EventKind::Fault(FaultEvent::Dropped { from }),
+                                });
+                            }
+                            if let Some(s) = stats.as_mut() {
+                                s.dropped += 1;
+                            }
+                            None
+                        } else {
+                            let msg = msg.clone();
+                            if self.recording.receptions {
+                                self.trace.events.push(Event {
+                                    round,
+                                    node: NodeId(u),
+                                    kind: EventKind::Receive {
+                                        from,
+                                        msg: msg.clone(),
+                                    },
+                                });
+                            }
+                            if let Some(s) = stats.as_mut() {
+                                s.deliveries += 1;
+                            }
+                            Some(msg)
                         }
                     }
-                }
-                if suppressed {
-                    if self.recording.receptions {
-                        self.trace.events.push(Event {
-                            round,
-                            node: NodeId(u),
-                            kind: EventKind::Fault(FaultEvent::Dropped { from }),
-                        });
+                    Heard::Silence => {
+                        if let Some(s) = stats.as_mut() {
+                            s.silent += 1;
+                        }
+                        None
                     }
-                    if let Some(s) = stats.as_mut() {
-                        s.dropped += 1;
-                    }
-                    None
-                } else {
-                    let msg = self.messages[from.0]
-                        .clone()
-                        .expect("sender marked transmitting must carry a message");
-                    if self.recording.receptions {
-                        self.trace.events.push(Event {
-                            round,
-                            node: NodeId(u),
-                            kind: EventKind::Receive {
-                                from,
-                                msg: msg.clone(),
-                            },
-                        });
-                    }
-                    if let Some(s) = stats.as_mut() {
-                        s.deliveries += 1;
-                    }
-                    Some(msg)
-                }
-            } else {
-                if let Some(s) = stats.as_mut() {
-                    if self.tx_neighbors[u] == 0 {
-                        s.silent += 1;
-                    } else {
-                        s.collisions += 1;
+                    Heard::Collision => {
+                        if let Some(s) = stats.as_mut() {
+                            s.collisions += 1;
+                        }
+                        None
                     }
                 }
-                None
             };
             let ctx = &mut Context {
                 round,
@@ -665,8 +677,8 @@ impl<P: Process> Engine<P> {
 
         if let Some(t) = telem.as_deref_mut() {
             let outputs_ns = span.lap();
-            if self.shards <= 1 {
-                // The serial resolver is "shard 0"; sharded resolution
+            if self.channel.shards() <= 1 {
+                // A serial channel is "shard 0"; sharded resolution
                 // timed its chunks inside the workers.
                 t.shard_busy_ns[0] += resolve_ns;
             }
@@ -702,12 +714,11 @@ impl<P: Process> Engine<P> {
     }
 }
 
-impl<P: Process> std::fmt::Debug for Engine<P> {
+impl<P: Process, C: Channel<P::Msg>> std::fmt::Debug for Engine<P, C> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Engine")
             .field("n", &self.graph.len())
             .field("round", &self.round)
-            .field("scheduler", &self.scheduler)
             .finish_non_exhaustive()
     }
 }
@@ -1153,6 +1164,67 @@ mod tests {
         assert_eq!(stats.down, 1);
         assert_eq!(stats.deliveries, 1);
         assert_eq!(stats.transmitters, 1);
+    }
+
+    // -- channels -------------------------------------------------------------
+
+    /// A channel that hands every listener vertex 0's message whenever
+    /// vertex 0 transmits, edges or not.
+    struct FromZero;
+
+    impl Channel<u32> for FromZero {
+        fn resolve(&mut self, _: u64, _: &DualGraph, _: &OnAir<'_, u32>, _: Option<&mut [u64]>) {}
+
+        fn heard<'a>(&'a self, _listener: usize, messages: &'a [Option<u32>]) -> Heard<'a, u32> {
+            match &messages[0] {
+                Some(msg) => Heard::Message {
+                    from: NodeId(0),
+                    msg,
+                },
+                None => Heard::Silence,
+            }
+        }
+    }
+
+    #[test]
+    fn any_channel_inherits_faults_and_classification() {
+        // No edges at all: every reception comes from the channel. The
+        // engine still masks down and jammed listeners, flips drop
+        // coins, and counts each class, whatever the channel.
+        let g = DualGraph::reliable_only(4, []).unwrap();
+        let faults = FaultPlan::none()
+            .with_crash(NodeId(3), 2, Some(4))
+            .with_jam(vec![NodeId(2)], 2, 3)
+            .with_drop_burst(4, 4, 1.0);
+        let config = Configuration::new(g, Box::new(NoExtraEdges))
+            .with_recording(crate::trace::RecordingPolicy::full())
+            .with_faults(faults);
+        let procs = vec![
+            Beacon::new(7, vec![1, 2, 3, 4]),
+            Beacon::new(0, vec![]),
+            Beacon::new(0, vec![]),
+            Beacon::new(0, vec![]),
+        ];
+        let mut engine =
+            Engine::with_channel(config, |_, _| FromZero, procs, Box::new(NullEnvironment), 1);
+        engine.run(4);
+        let trace = engine.into_trace();
+        let recvs: Vec<(u64, NodeId)> = trace.receptions().map(|(t, v, _, _)| (t, v)).collect();
+        assert_eq!(
+            recvs,
+            vec![
+                (1, NodeId(1)),
+                (1, NodeId(2)),
+                (1, NodeId(3)),
+                (2, NodeId(1)),
+                (3, NodeId(1)),
+            ]
+        );
+        let totals = trace.total_stats();
+        assert_eq!(totals.deliveries, 5);
+        assert_eq!(totals.jammed, 2);
+        assert_eq!(totals.down, 2);
+        assert_eq!(totals.dropped, 3, "round 4: the burst drops all three");
     }
 
     // -- sharded reception resolution --------------------------------------

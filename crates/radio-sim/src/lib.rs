@@ -32,10 +32,14 @@
 //!   automata that model wireless devices.
 //! * [`environment`] — deterministic environments that feed inputs and
 //!   consume outputs, per the round structure of Section 2.
-//! * [`engine`] — the synchronous round loop and collision resolution.
+//! * [`engine`] — the synchronous round loop, the only one, generic
+//!   over the channel that resolves receptions.
+//! * [`channel`] — the per-round [`Channel`](channel::Channel) trait
+//!   (this round's transmitters → one reception per listener) and the
+//!   model's [`SimChannel`](channel::SimChannel); the `net` crate's mock
+//!   network implements the same trait.
 //! * [`resolve`] — the collision rule as free functions (serial scatter
-//!   and sharded gather), shared by the engine and the `net` crate's
-//!   `SimTransport` so both substrates resolve receptions identically.
+//!   and sharded gather) behind the sim channel.
 //! * [`timeline`] — epoch-based dynamic geometry: the
 //!   [`GraphTimeline`](timeline::GraphTimeline) schedule of dual-graph
 //!   snapshots that mobility and moving jammers run on; a single-epoch
@@ -72,6 +76,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod channel;
 pub mod engine;
 pub mod environment;
 pub mod fault;
@@ -87,6 +92,7 @@ pub mod trace;
 
 /// Commonly used items, re-exported for convenient glob import.
 pub mod prelude {
+    pub use crate::channel::{Channel, SimChannel};
     pub use crate::engine::{Configuration, Engine};
     pub use crate::environment::{Environment, NullEnvironment};
     pub use crate::fault::FaultPlan;

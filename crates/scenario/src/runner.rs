@@ -23,14 +23,15 @@ use local_broadcast::config::LbConfig;
 use local_broadcast::msg::{LbInput, LbOutput, Payload};
 use local_broadcast::service::QueueWorkload;
 use local_broadcast::spec as lb_spec;
-use net::{Cluster, ClusterConfig, LinkSet, MockNetConfig, MockNetTransport, PartitionWindow};
+use net::{LinkSet, MockNetConfig, MockNetTransport, PartitionWindow};
+use radio_sim::channel::{Channel, Heard, OnAir, SimChannel};
 use radio_sim::engine::{Configuration, Engine};
 use radio_sim::environment::{Environment, NullEnvironment, ScriptedEnvironment};
 use radio_sim::fault::FaultPlan;
 use radio_sim::graph::{DualGraph, NodeId};
 use radio_sim::process::Process;
 use radio_sim::geometry::Embedding;
-use radio_sim::scheduler;
+use radio_sim::scheduler::{self, SchedulerBox};
 use radio_sim::timeline::GraphTimeline;
 use radio_sim::topology::{self, RggParams, Topology};
 use radio_sim::trace::{EventKind, RecordingPolicy, RoundStats, Trace};
@@ -70,51 +71,47 @@ type TrialCapture = (
     Option<telemetry::EngineMetrics>,
 );
 
-/// One trial's executor: the lockstep engine, or a cluster of node
-/// runtimes over the mock network, per the scenario's
-/// [`TransportSpec`]. Both expose the same drive/trace surface, so the
-/// workload runners are substrate-agnostic.
-enum Exec<P: Process> {
-    Sim(Box<Engine<P>>),
-    MockNet(Box<Cluster<P, MockNetTransport<P::Msg>>>),
+/// The channel one trial runs over, per the scenario's
+/// [`TransportSpec`]. An enum rather than a trait object keeps the
+/// per-listener [`Channel::heard`] call a predictable branch on the sim
+/// path; the engine around it is the same for both.
+enum TrialChannel<M> {
+    Sim(SimChannel),
+    MockNet(MockNetTransport<M>),
 }
 
-impl<P: Process> Exec<P> {
-    fn run(&mut self, rounds: u64) {
-        match self {
-            Exec::Sim(e) => e.run(rounds),
-            Exec::MockNet(c) => c.run(rounds),
-        }
-    }
-
-    fn run_until(
+impl<M: Clone> Channel<M> for TrialChannel<M> {
+    fn resolve(
         &mut self,
-        max_rounds: u64,
-        pred: impl FnMut(&Trace<P::Input, P::Output, P::Msg>) -> bool,
-    ) -> bool {
+        round: u64,
+        graph: &DualGraph,
+        on_air: &OnAir<'_, M>,
+        shard_busy: Option<&mut [u64]>,
+    ) {
         match self {
-            Exec::Sim(e) => e.run_until(max_rounds, pred),
-            Exec::MockNet(c) => c.run_until(max_rounds, pred),
+            TrialChannel::Sim(c) => c.resolve(round, graph, on_air, shard_busy),
+            TrialChannel::MockNet(c) => c.resolve(round, graph, on_air, shard_busy),
         }
     }
 
-    fn trace(&self) -> &Trace<P::Input, P::Output, P::Msg> {
+    #[inline]
+    fn heard<'a>(&'a self, listener: usize, messages: &'a [Option<M>]) -> Heard<'a, M> {
         match self {
-            Exec::Sim(e) => e.trace(),
-            Exec::MockNet(c) => c.trace(),
+            TrialChannel::Sim(c) => c.heard(listener, messages),
+            TrialChannel::MockNet(c) => c.heard(listener, messages),
         }
     }
 
-    /// Engine metrics, when the substrate exposes them (the cluster has
-    /// no engine inside, so mock-net trials report `None`, like the MAC
-    /// adapter path).
-    fn take_telemetry(&mut self) -> Option<telemetry::EngineMetrics> {
+    fn shards(&self) -> usize {
         match self {
-            Exec::Sim(e) => e.take_telemetry(),
-            Exec::MockNet(_) => None,
+            TrialChannel::Sim(c) => Channel::<M>::shards(c),
+            TrialChannel::MockNet(c) => c.shards(),
         }
     }
 }
+
+/// One trial's engine, over whichever channel the scenario selects.
+type TrialEngine<P> = Engine<P, TrialChannel<<P as Process>::Msg>>;
 
 /// What one trial measured.
 #[derive(Debug, Clone, PartialEq)]
@@ -644,24 +641,19 @@ impl ScenarioRunner {
             .with_telemetry(probe.telemetry)
     }
 
-    /// Builds the trial executor the scenario's transport calls for:
-    /// the engine, or a mock-net cluster whose static link set comes
-    /// from the adversary (`AllExtraEdges` → all of `G'`,
+    /// Builds the trial engine over the channel the scenario's transport
+    /// calls for: the model's, or a mock network whose static link set
+    /// comes from the adversary (`AllExtraEdges` → all of `G'`,
     /// `NoExtraEdges` → `G`; validation rejects everything else).
-    fn executor<P: Process>(
+    fn engine<P: Process>(
         &self,
         procs: Vec<P>,
         env: Box<dyn Environment<P::Input, P::Output>>,
         master_seed: u64,
         probe: Probe,
-    ) -> Exec<P> {
-        match &self.scenario.transport {
-            TransportSpec::Sim => Exec::Sim(Box::new(Engine::new(
-                self.configuration(master_seed, probe),
-                procs,
-                env,
-                master_seed,
-            ))),
+    ) -> TrialEngine<P> {
+        let mock_net = match &self.scenario.transport {
+            TransportSpec::Sim => None,
             TransportSpec::MockNet {
                 delay_rounds,
                 loss_p,
@@ -684,21 +676,20 @@ impl ScenarioRunner {
                         })
                         .collect(),
                 };
-                let transport =
-                    MockNetTransport::new(Arc::clone(&self.graph), net_config, master_seed);
-                let config = ClusterConfig::new(Arc::clone(&self.graph))
-                    .with_r(self.topo.r)
-                    .with_recording(Self::recording_for(probe.trace))
-                    .with_faults(self.faults.clone());
-                Exec::MockNet(Box::new(Cluster::new(
-                    config,
-                    transport,
-                    procs,
-                    env,
-                    master_seed,
-                )))
+                Some(MockNetTransport::new(self.graph.len(), net_config, master_seed))
             }
-        }
+        };
+        let channel = |scheduler: SchedulerBox, shards: usize| match mock_net {
+            None => TrialChannel::Sim(SimChannel::new(scheduler, shards)),
+            Some(m) => TrialChannel::MockNet(m),
+        };
+        Engine::with_channel(
+            self.configuration(master_seed, probe),
+            channel,
+            procs,
+            env,
+            master_seed,
+        )
     }
 
     fn base_configuration(&self, master_seed: u64, recording: RecordingPolicy) -> Configuration {
@@ -780,10 +771,10 @@ impl ScenarioRunner {
         let horizon = self.horizon(cfg.phase_len(), cfg.total_rounds(delta));
         let n = self.graph.len();
         let procs: Vec<SeedProcess> = (0..n).map(|_| SeedProcess::new(cfg.clone())).collect();
-        let mut exec = self.executor(procs, Box::new(NullEnvironment), master_seed, probe);
-        let stop_satisfied = self.drive(&mut exec, horizon, |_decide| true);
-        let metrics = exec.take_telemetry();
-        let trace = exec.trace();
+        let mut engine = self.engine(procs, Box::new(NullEnvironment), master_seed, probe);
+        let stop_satisfied = self.drive(&mut engine, horizon, |_decide| true);
+        let metrics = engine.take_telemetry();
+        let trace = engine.trace();
         let spec_ok = seed_spec::check_well_formedness(trace).is_ok()
             && seed_spec::check_consistency(trace).is_ok()
             && seed_spec::check_owner_seed_fidelity(trace).is_ok();
@@ -835,11 +826,11 @@ impl ScenarioRunner {
         }
         let env = QueueWorkload::new(queues, 1);
         let procs: Vec<LbProcess> = (0..n).map(|_| LbProcess::new(cfg.clone())).collect();
-        let mut exec = self.executor(procs, Box::new(env), master_seed, probe);
+        let mut engine = self.engine(procs, Box::new(env), master_seed, probe);
         let stop_satisfied =
-            self.drive(&mut exec, horizon, |o: &LbOutput| !o.is_ack());
-        let metrics = exec.take_telemetry();
-        let trace = exec.trace();
+            self.drive(&mut engine, horizon, |o: &LbOutput| !o.is_ack());
+        let metrics = engine.take_telemetry();
+        let trace = engine.trace();
         let spec_ok = lb_spec::check_timely_ack(trace, params.t_ack_rounds()).is_ok()
             && lb_spec::check_validity(trace, &self.graph).is_ok();
         let (jammed_recvs, clear_recvs) = self.region_recvs(trace, |o: &LbOutput| !o.is_ack());
@@ -886,12 +877,12 @@ impl ScenarioRunner {
             .iter()
             .map(|&v| (1, NodeId(v), LbInput::Bcast(Payload::new(v as u64, 0))))
             .collect();
-        let mut exec =
-            self.executor(procs, Box::new(ScriptedEnvironment::new(script)), master_seed, probe);
+        let mut engine =
+            self.engine(procs, Box::new(ScriptedEnvironment::new(script)), master_seed, probe);
         let stop_satisfied =
-            self.drive(&mut exec, horizon, |o: &LbOutput| !o.is_ack());
-        let metrics = exec.take_telemetry();
-        let trace = exec.trace();
+            self.drive(&mut engine, horizon, |o: &LbOutput| !o.is_ack());
+        let metrics = engine.take_telemetry();
+        let trace = engine.trace();
         let (jammed_recvs, clear_recvs) = self.region_recvs(trace, |o: &LbOutput| !o.is_ack());
         let outcome = TrialOutcome {
             master_seed,
@@ -964,13 +955,13 @@ impl ScenarioRunner {
         (outcome, json, None)
     }
 
-    /// Runs the executor to the stop condition: plain budgets run
+    /// Runs the engine to the stop condition: plain budgets run
     /// `horizon` rounds; `FirstDeliveryAt` stops early when an
     /// `is_delivery`-filtered output appears at the watched node.
     /// Returns whether the stop goal was met.
     fn drive<P: Process>(
         &self,
-        exec: &mut Exec<P>,
+        engine: &mut TrialEngine<P>,
         horizon: u64,
         is_delivery: impl Fn(&P::Output) -> bool,
     ) -> bool {
@@ -981,7 +972,7 @@ impl ScenarioRunner {
                 // only scan events appended since the last check so the
                 // run stays linear in the trace size.
                 let mut seen = 0usize;
-                exec.run_until(horizon, move |t| {
+                engine.run_until(horizon, move |t| {
                     let hit = t.events[seen..].iter().any(|e| {
                         e.node == watch
                             && matches!(&e.kind, EventKind::Output(o) if is_delivery(o))
@@ -991,7 +982,7 @@ impl ScenarioRunner {
                 })
             }
             _ => {
-                exec.run(horizon);
+                engine.run(horizon);
                 true
             }
         }
@@ -1320,6 +1311,49 @@ mod tests {
         assert_eq!(m.transmissions, plain.totals.transmitters as u64);
         assert_eq!(m.deliveries, plain.totals.deliveries as u64);
         assert!(m.busy_ns() > 0);
+    }
+
+    #[test]
+    fn mock_net_instrumented_trial_reports_engine_metrics() {
+        // Both transports run on the one engine, so a mock-net trial
+        // (e5 under `--transport mock-net`) reports engine telemetry,
+        // with the outcome of the plain run.
+        let mut s = crate::registry::find("e5").unwrap();
+        s.transport = TransportSpec::mock_net_synchronous();
+        let runner = ScenarioRunner::new(s).unwrap();
+        for trial in 0..runner.scenario().trials {
+            let plain = runner.run_trial(trial);
+            let (instrumented, metrics) = runner.run_trial_instrumented(trial);
+            assert_eq!(plain, instrumented, "trial {trial}");
+            let m = metrics.expect("mock-net trials expose engine metrics");
+            assert_eq!(m.rounds, plain.rounds);
+            assert_eq!(m.round_ns.count(), m.rounds);
+            assert_eq!(m.transmissions, plain.totals.transmitters as u64);
+            assert_eq!(m.deliveries, plain.totals.deliveries as u64);
+            assert_eq!(m.shard_busy_ns.len(), 1, "the mock network resolves serially");
+        }
+    }
+
+    #[test]
+    fn telemetry_leaves_trace_bytes_identical_on_both_transports() {
+        for transport in [TransportSpec::Sim, TransportSpec::mock_net_synchronous()] {
+            let mut s = crate::registry::find("e5").unwrap();
+            s.transport = transport.clone();
+            let runner = ScenarioRunner::new(s).unwrap();
+            let seed = runner.scenario().base_seed;
+            let (plain, plain_json, none) = runner.run_seeded(seed, Probe::TRACE);
+            let (observed, observed_json, metrics) = runner.run_seeded(
+                seed,
+                Probe {
+                    trace: true,
+                    telemetry: true,
+                },
+            );
+            assert!(none.is_none(), "{transport:?}");
+            assert!(metrics.is_some(), "{transport:?}");
+            assert_eq!(plain, observed, "{transport:?}");
+            assert_eq!(plain_json, observed_json, "{transport:?}: telemetry changed the trace");
+        }
     }
 
     #[test]

@@ -1112,10 +1112,11 @@ pub struct PartitionSpec {
 
 /// Which substrate executes the scenario's trials.
 ///
-/// `Sim` (the default — absent in older scenario files) is the lockstep
-/// engine; every golden metric and replay trace is pinned against it.
-/// `MockNet` runs the same processes as a cluster of node runtimes over
-/// the `net` crate's deterministic mock network instead: the adversary
+/// Both run on the one round engine; the transport picks its channel.
+/// `Sim` (the default — absent in older scenario files) is the model's
+/// channel; every golden metric and replay trace is pinned against it.
+/// `MockNet` resolves receptions over the `net` crate's deterministic
+/// mock network instead: the adversary
 /// selects the static link set (`AllExtraEdges` → all of `G'`,
 /// `NoExtraEdges` → `G` only; nothing else is expressible over a static
 /// network, so other adversaries are rejected), and the transport adds
@@ -1124,7 +1125,8 @@ pub struct PartitionSpec {
 /// byte-identical to the simulator's.
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub enum TransportSpec {
-    /// The lockstep simulator engine (the default).
+    /// The model's channel: link scheduler plus collision rule (the
+    /// default).
     #[default]
     Sim,
     /// The deterministic mock network from the `net` crate.

@@ -1,7 +1,7 @@
-//! Transport demo: the local broadcast service running entirely off the
-//! simulator — a cluster of `LbProcess` node runtimes exchanging a
-//! broadcast over the deterministic mock network, with a partition
-//! window injected mid-run.
+//! Transport demo: the local broadcast service running off the model's
+//! channel — the engine drives unmodified `LbProcess`es whose receptions
+//! come from the deterministic mock network, with a partition window
+//! injected mid-run.
 //!
 //! ```text
 //! cargo run --example transport_demo
@@ -10,10 +10,10 @@
 use dual_graph_broadcast::local_broadcast::config::LbConfig;
 use dual_graph_broadcast::local_broadcast::service::QueueWorkload;
 use dual_graph_broadcast::local_broadcast::{LbOutput, LbProcess, Payload};
-use dual_graph_broadcast::net::{
-    Cluster, ClusterConfig, MockNetConfig, MockNetTransport, PartitionWindow,
-};
+use dual_graph_broadcast::net::{MockNetConfig, MockNetTransport, PartitionWindow};
+use dual_graph_broadcast::radio_sim::engine::Engine;
 use dual_graph_broadcast::radio_sim::graph::NodeId;
+use dual_graph_broadcast::radio_sim::scheduler::AllExtraEdges;
 use dual_graph_broadcast::radio_sim::topology;
 use std::collections::VecDeque;
 
@@ -42,7 +42,7 @@ fn main() {
         "mock net: delay 1 round/hop, loss 10%, partition {{0,1,2}} | {{3,4,5}} rounds 30–70"
     );
     let transport = MockNetTransport::new(
-        topo.graph.clone(),
+        n,
         MockNetConfig {
             delay_rounds: 1,
             loss_p: 0.10,
@@ -53,21 +53,22 @@ fn main() {
     );
 
     // Node 0 broadcasts one payload; every node runs an unmodified
-    // LbProcess and communicates only through the transport.
+    // LbProcess and communicates only through the mock network (which
+    // replaces the configuration's scheduler as the channel).
     let mut queues = vec![VecDeque::new(); n];
     queues[0].push_back(Payload::new(0, 0));
     let procs: Vec<LbProcess> = (0..n).map(|_| LbProcess::new(cfg.clone())).collect();
-    let mut cluster = Cluster::new(
-        ClusterConfig::new(topo.graph.clone()).with_r(topo.r),
-        transport,
+    let mut engine = Engine::with_channel(
+        topo.configuration(Box::new(AllExtraEdges)),
+        |_, _| transport,
         procs,
         Box::new(QueueWorkload::new(queues, 1)),
         2015,
     );
 
     let horizon = params.t_ack_rounds() + params.phase_len();
-    cluster.run(horizon);
-    let trace = cluster.into_trace();
+    engine.run(horizon);
+    let trace = engine.into_trace();
 
     // Ack latency: LBAlg's ack is clock-driven, so it lands on schedule
     // even over a degraded channel.

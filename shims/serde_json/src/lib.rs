@@ -57,6 +57,7 @@ pub fn to_string_pretty<T: serde::Serialize + ?Sized>(value: &T) -> Result<Strin
 /// Parses a `T` out of a JSON string.
 pub fn from_str<T: serde::DeserializeOwned>(s: &str) -> Result<T, Error> {
     let mut parser = Parser {
+        text: s,
         bytes: s.as_bytes(),
         pos: 0,
     };
@@ -190,6 +191,9 @@ fn write_value_pretty(out: &mut String, v: &Value, indent: usize) -> Result<(), 
 // ---------------------------------------------------------------------
 
 struct Parser<'a> {
+    text: &'a str,
+    /// `text` as bytes; `pos` indexes both and sits on a char boundary
+    /// wherever a string's unescaped run starts.
     bytes: &'a [u8],
     pos: usize,
 }
@@ -340,12 +344,20 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 encoded char.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| Error::new("invalid UTF-8 in string"))?;
-                    let c = rest.chars().next().expect("non-empty checked");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the unescaped run up to the next quote or
+                    // backslash. Both are ASCII, so they never fall
+                    // inside a multi-byte char and the run's ends are
+                    // char boundaries of the (already valid) input.
+                    let end = self.bytes[self.pos..]
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .map_or(self.bytes.len(), |i| self.pos + i);
+                    let run = self
+                        .text
+                        .get(self.pos..end)
+                        .ok_or_else(|| Error::new("invalid UTF-8 in string"))?;
+                    out.push_str(run);
+                    self.pos = end;
                 }
             }
         }
@@ -398,6 +410,26 @@ mod tests {
         assert_eq!(from_str::<f64>("3").unwrap(), 3.0);
         assert_eq!(to_string("a\"b").unwrap(), "\"a\\\"b\"");
         assert_eq!(from_str::<String>("\"a\\\"b\"").unwrap(), "a\"b");
+    }
+
+    #[test]
+    fn strings_mix_multibyte_chars_and_escapes() {
+        // Multi-byte chars right before and after escapes, and as the
+        // last char of the document.
+        let text = "δ\"€\\n✓é🦀\t";
+        let json = to_string(text).unwrap();
+        assert_eq!(from_str::<String>(&json).unwrap(), text);
+        assert_eq!(from_str::<String>("\"é\\nδ\"").unwrap(), "é\nδ");
+        assert_eq!(from_str::<String>("\"🦀\\u00e9ü\"").unwrap(), "🦀éü");
+        assert_eq!(from_str::<String>("\"\\tü\"").unwrap(), "\tü");
+        assert_eq!(from_str::<Vec<String>>("[\"ü\",\"🦀\"]").unwrap(), vec!["ü", "🦀"]);
+        assert_eq!(from_str::<String>("\"✓\"").unwrap(), "✓");
+        // A document that ends inside a multi-byte run is still
+        // unterminated, not a panic.
+        assert_eq!(
+            from_str::<String>("\"ab€").unwrap_err().to_string(),
+            "unterminated string"
+        );
     }
 
     #[test]

@@ -20,9 +20,9 @@
 //!   experiment suite.
 //! * [`scenario`] — declarative scenario & fault-injection subsystem:
 //!   serde scenario files, the named registry, and the scenario runner.
-//! * [`net`] — the transport abstraction: run the same processes as a
-//!   cluster of node runtimes over the simulator (byte-identical) or a
-//!   deterministic mock network (delay, loss, partitions).
+//! * [`net`] — the mock-network channel: run the same processes on the
+//!   engine over a deterministic mock network (delay, loss,
+//!   partitions) instead of the model's channel.
 
 #![forbid(unsafe_code)]
 
