@@ -6,7 +6,7 @@
 //! and discussion-level claim as the "table" to regenerate: every
 //! experiment below measures the claimed quantity by Monte-Carlo over
 //! seeded deterministic trials and reports it next to the paper's
-//! predicted shape. EXPERIMENTS.md records a full run.
+//! predicted shape.
 //!
 //! | ID  | Claim |
 //! |-----|-------|
@@ -37,9 +37,9 @@ use crate::table::Table;
 /// How big an experiment run should be.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scale {
-    /// Small sweeps and few trials: seconds, for CI and Criterion.
+    /// Small sweeps and few trials: seconds, for CI and tests.
     Quick,
-    /// The full sweeps recorded in EXPERIMENTS.md: minutes.
+    /// The full sweeps: minutes.
     Full,
 }
 

@@ -1,9 +1,9 @@
 //! Combined markdown reports and tolerance-aware metric comparison.
 //!
 //! A campaign aggregates many experiments' [`Table`]s into a single
-//! markdown document (the EXPERIMENTS.md analog for scenario runs), and
-//! a regression gate compares freshly measured means against checked-in
-//! golden values with a symmetric absolute tolerance. Both live here so
+//! markdown document, and a regression gate compares freshly measured
+//! means against checked-in golden values with a symmetric absolute
+//! tolerance. Both live here so
 //! every producer of tables — the hard-coded experiment suite and the
 //! declarative scenario campaigns — shares one report format and one
 //! notion of "within tolerance".

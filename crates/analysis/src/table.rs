@@ -2,7 +2,7 @@
 //!
 //! Every experiment produces one or more [`Table`]s: a captioned grid of
 //! strings with a stated paper prediction, printable as aligned text (for
-//! the terminal), markdown (for EXPERIMENTS.md), or CSV (for plotting).
+//! the terminal), markdown (for reports), or CSV (for plotting).
 
 use serde::Serialize;
 use std::fmt;

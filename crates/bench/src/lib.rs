@@ -1,27 +1,11 @@
-//! Shared workload constructors for the Criterion benches and the
-//! `experiments` binary.
-//!
-//! Each bench times the *unit of Monte-Carlo work* of the corresponding
-//! experiment (one seeded trial); the `experiments` binary composes many
-//! such trials into the tables recorded in EXPERIMENTS.md.
+//! The library half of the `bench` package: the saved-trace bundle
+//! the `simulate` binary writes and the `replay` auditor reads.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod perf;
-
-use local_broadcast::config::LbConfig;
-use local_broadcast::service::{build_engine, QueueWorkload};
 use radio_sim::graph::DualGraph;
 use serde::{Deserialize, Serialize};
-use radio_sim::engine::Engine;
-use radio_sim::environment::NullEnvironment;
-use radio_sim::graph::NodeId;
-use radio_sim::scheduler;
-use radio_sim::topology::{self, Topology};
-use radio_sim::trace::RecordingPolicy;
-use seed_agreement::alg::SeedProcess;
-use seed_agreement::SeedConfig;
 
 /// A saved `LBAlg` execution: everything the offline `replay` auditor
 /// needs to re-check the deterministic `LB` conditions and evaluate the
@@ -38,69 +22,4 @@ pub struct TraceBundle {
     pub t_ack_rounds: u64,
     /// The recorded execution.
     pub trace: local_broadcast::LbTrace,
-}
-
-/// A standard mid-size random geometric network used across benches.
-pub fn standard_rgg(n: usize) -> Topology {
-    topology::random_geometric(topology::RggParams {
-        n,
-        side: (n as f64 / 8.0).sqrt().max(2.0),
-        r: 2.0,
-        grey_reliable_p: 0.1,
-        grey_unreliable_p: 0.8,
-        seed: 7,
-    })
-}
-
-/// Runs one complete `SeedAlg` execution; returns the number of decide
-/// outputs (to keep the work observable).
-pub fn seed_alg_trial(topo: &Topology, epsilon1: f64, master_seed: u64) -> usize {
-    let cfg = SeedConfig::practical(epsilon1, 64);
-    let n = topo.graph.len();
-    let procs: Vec<SeedProcess> = (0..n).map(|_| SeedProcess::new(cfg.clone())).collect();
-    let mut engine = Engine::new(
-        topo.configuration(Box::new(scheduler::AllExtraEdges)),
-        procs,
-        Box::new(NullEnvironment),
-        master_seed,
-    );
-    engine.run(cfg.total_rounds(topo.graph.delta()));
-    engine.trace().outputs().count()
-}
-
-/// Runs `phases` phases of `LBAlg` with one streaming sender; returns
-/// the number of outputs.
-pub fn lbalg_phases_trial(
-    topo: &Topology,
-    epsilon1: f64,
-    phases: u64,
-    master_seed: u64,
-) -> usize {
-    let cfg = LbConfig::practical(epsilon1);
-    let params = cfg.resolve(topo.r, topo.graph.delta(), topo.graph.delta_prime());
-    let env = QueueWorkload::uniform(topo.graph.len(), &[NodeId(0)], 1_000);
-    let mut engine = build_engine(
-        topo,
-        Box::new(scheduler::BernoulliEdges::new(0.5, master_seed)),
-        &cfg,
-        Box::new(env),
-        master_seed,
-        RecordingPolicy::outputs_only(),
-    );
-    engine.run(params.phase_len() * phases);
-    engine.trace().outputs().count()
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn trials_run_and_produce_output() {
-        let topo = standard_rgg(24);
-        assert!(seed_alg_trial(&topo, 0.25, 1) > 0);
-        // One phase of LBAlg may or may not produce recv outputs, but the
-        // call must complete.
-        let _ = lbalg_phases_trial(&topo, 0.25, 1, 1);
-    }
 }

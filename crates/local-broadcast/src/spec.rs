@@ -26,6 +26,7 @@ use crate::msg::{LbInput, LbMsg, LbOutput, Payload};
 use crate::LbTrace;
 use radio_sim::graph::{DualGraph, NodeId};
 use radio_sim::process::ProcId;
+use radio_sim::timeline::GraphTimeline;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -227,6 +228,24 @@ pub fn check_timely_ack(trace: &LbTrace, t_ack_rounds: u64) -> Result<(), LbViol
 ///
 /// Returns the first invalid recv (or a well-formedness violation).
 pub fn check_validity(trace: &LbTrace, graph: &DualGraph) -> Result<(), LbViolation> {
+    validity(trace, |_| graph)
+}
+
+/// Condition 2 (Validity) under dynamic geometry: each `recv(m)ᵤ` is
+/// checked against the `G'` of the epoch in force at its round. On a
+/// single-epoch timeline this is [`check_validity`] on that graph.
+///
+/// # Errors
+///
+/// Returns the first invalid recv (or a well-formedness violation).
+pub fn check_validity_over(trace: &LbTrace, timeline: &GraphTimeline) -> Result<(), LbViolation> {
+    validity(trace, |round| timeline.graph_at(round))
+}
+
+fn validity<'g>(
+    trace: &LbTrace,
+    graph_at: impl Fn(u64) -> &'g DualGraph,
+) -> Result<(), LbViolation> {
     let lcs = lifecycles(trace)?;
     let by_key: BTreeMap<(ProcId, u64), &BroadcastLifecycle> =
         lcs.iter().map(|lc| (lc.key, lc)).collect();
@@ -240,7 +259,7 @@ pub fn check_validity(trace: &LbTrace, graph: &DualGraph) -> Result<(), LbViolat
                 reason: "payload was never broadcast",
             });
         };
-        if !graph.is_any_edge(node, lc.origin) {
+        if !graph_at(round).is_any_edge(node, lc.origin) {
             return Err(LbViolation::InvalidRecv {
                 node,
                 key: p.key(),
@@ -394,6 +413,7 @@ pub fn progress_outcomes(
 mod tests {
     use super::*;
     use radio_sim::trace::{Event, EventKind, Trace};
+    use std::sync::Arc;
 
     fn mk_trace(n: usize, rounds: u64) -> LbTrace {
         let mut t = Trace::new(n, (0..n as u64).collect());
@@ -541,6 +561,51 @@ mod tests {
             check_validity(&t2, &g),
             Err(LbViolation::InvalidRecv { .. })
         ));
+    }
+
+    #[test]
+    fn validity_over_a_timeline_checks_each_recv_against_its_epoch() {
+        // Epoch 0 (rounds 1–9) is the path 0–1–2; epoch 1 (rounds 10–)
+        // rewires it to 0–2–1. Node 0 broadcasts throughout.
+        let epoch0 = Arc::new(path3());
+        let epoch1 = Arc::new(DualGraph::reliable_only(3, [(0, 2), (2, 1)]).unwrap());
+        let timeline =
+            GraphTimeline::new([(1, Arc::clone(&epoch0)), (10, Arc::clone(&epoch1))]).unwrap();
+        let p = Payload::new(0, 1);
+        let with_recv = |round: u64, node: usize| {
+            let mut t = mk_trace(3, 30);
+            input(&mut t, 1, 0, p.clone());
+            output(&mut t, round, node, LbOutput::Recv(p.clone()));
+            output(&mut t, 25, 0, LbOutput::Ack(p.clone()));
+            t
+        };
+
+        // Valid only in its own epoch: 0–2 is an edge from round 10 on.
+        let own_epoch = with_recv(12, 2);
+        check_validity_over(&own_epoch, &timeline).unwrap();
+        assert!(check_validity(&own_epoch, &epoch0).is_err());
+
+        // Off-graph in its epoch: 0–1 exists only before round 10.
+        let off_graph = with_recv(14, 1);
+        assert!(matches!(
+            check_validity_over(&off_graph, &timeline),
+            Err(LbViolation::InvalidRecv {
+                node: NodeId(1),
+                round: 14,
+                reason: "origin is not a G' neighbor",
+                ..
+            })
+        ));
+        check_validity(&off_graph, &epoch0).unwrap();
+
+        // A single-epoch timeline gives the static verdict.
+        let single = GraphTimeline::single(Arc::clone(&epoch0));
+        for t in [&own_epoch, &off_graph] {
+            assert_eq!(
+                check_validity_over(t, &single).is_ok(),
+                check_validity(t, &epoch0).is_ok()
+            );
+        }
     }
 
     #[test]

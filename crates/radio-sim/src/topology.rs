@@ -510,7 +510,7 @@ pub fn constant_density_side(n: usize, density: f64) -> f64 {
 // ---------------------------------------------------------------------------
 
 /// One epoch of a random-waypoint mobility timeline: the round it takes
-/// effect, the rebuilt snapshot, and what the rebuild cost.
+/// effect and the rebuilt snapshot.
 #[derive(Debug, Clone)]
 pub struct MobilityEpoch {
     /// First round this snapshot is in force (epoch `e` starts at
@@ -521,9 +521,6 @@ pub struct MobilityEpoch {
     /// The embedding witnessing the snapshot; fault regions given as
     /// discs resolve against this, per epoch.
     pub embedding: Arc<Embedding>,
-    /// Wall-clock nanoseconds spent placing nodes and rebuilding
-    /// adjacency for this epoch (0 for epochs that share a snapshot).
-    pub build_ns: u64,
 }
 
 /// Errors from invalid mobility-timeline parameters.
@@ -621,16 +618,13 @@ pub fn random_geometric_timeline(
     }
     debug_assert!((params.n as u64) < (1 << 32), "wiring stream indices overlap waypoints");
 
-    let t0 = std::time::Instant::now();
     let base = try_random_geometric(params).map_err(MobilityError::Rgg)?;
-    let base_ns = t0.elapsed().as_nanos() as u64;
     let base_graph = Arc::new(base.graph);
     let base_emb = Arc::new(base.embedding);
     let mut out = vec![MobilityEpoch {
         start_round: 1,
         graph: Arc::clone(&base_graph),
         embedding: Arc::clone(&base_emb),
-        build_ns: base_ns,
     }];
     if epochs == 1 {
         return Ok(out);
@@ -641,7 +635,6 @@ pub fn random_geometric_timeline(
                 start_round: 1 + e as u64 * epoch_rounds,
                 graph: Arc::clone(&base_graph),
                 embedding: Arc::clone(&base_emb),
-                build_ns: 0,
             });
         }
         return Ok(out);
@@ -660,7 +653,6 @@ pub fn random_geometric_timeline(
         })
         .collect();
     for e in 1..epochs {
-        let t0 = std::time::Instant::now();
         for w in &mut walkers {
             w.advance(epoch_rounds as f64 * speed, params.side);
         }
@@ -679,7 +671,6 @@ pub fn random_geometric_timeline(
             start_round: 1 + e as u64 * epoch_rounds,
             graph: Arc::new(topo.graph),
             embedding: Arc::new(topo.embedding),
-            build_ns: t0.elapsed().as_nanos() as u64,
         });
     }
     Ok(out)
@@ -945,7 +936,6 @@ mod tests {
         for ep in &epochs[1..] {
             assert!(Arc::ptr_eq(&ep.graph, &epochs[0].graph));
             assert!(Arc::ptr_eq(&ep.embedding, &epochs[0].embedding));
-            assert_eq!(ep.build_ns, 0);
         }
     }
 

@@ -297,15 +297,11 @@ impl ScenarioReport {
 }
 
 /// The dynamic-geometry state a mobility scenario compiles to: the
-/// epoch timeline every trial engine shares, each epoch's embedding
-/// (disc fault regions resolve against these, per epoch), and what each
-/// rebuild cost.
+/// epoch timeline every trial engine shares and each epoch's embedding
+/// (disc fault regions resolve against these, per epoch).
 struct MobilityState {
     timeline: GraphTimeline,
     embeddings: Vec<Arc<Embedding>>,
-    /// Wall-clock nanoseconds per epoch rebuild (index = epoch; entry 0
-    /// is the static deployment build).
-    rebuild_ns: Vec<u64>,
 }
 
 /// Executes a validated scenario.
@@ -409,7 +405,6 @@ impl ScenarioRunner {
         Ok(Some(MobilityState {
             timeline,
             embeddings: epochs.iter().map(|e| Arc::clone(&e.embedding)).collect(),
-            rebuild_ns: epochs.iter().map(|e| e.build_ns).collect(),
         }))
     }
 
@@ -521,14 +516,6 @@ impl ScenarioRunner {
     /// The epoch timeline, for mobility scenarios.
     pub fn timeline(&self) -> Option<&GraphTimeline> {
         self.mobility.as_ref().map(|m| &m.timeline)
-    }
-
-    /// Wall-clock nanoseconds each epoch rebuild cost (entry 0 is the
-    /// static deployment build; speed-0 epochs share snapshots and cost
-    /// 0). `None` for static scenarios. Wall-clock, hence noisy — never
-    /// part of golden metrics.
-    pub fn rebuild_ns(&self) -> Option<&[u64]> {
-        self.mobility.as_ref().map(|m| m.rebuild_ns.as_slice())
     }
 
     /// The degree bound Δ processes are configured with: the maximum
@@ -831,8 +818,12 @@ impl ScenarioRunner {
             self.drive(&mut engine, horizon, |o: &LbOutput| !o.is_ack());
         let metrics = engine.take_telemetry();
         let trace = engine.trace();
-        let spec_ok = lb_spec::check_timely_ack(trace, params.t_ack_rounds()).is_ok()
-            && lb_spec::check_validity(trace, &self.graph).is_ok();
+        let validity = match self.timeline() {
+            Some(timeline) => lb_spec::check_validity_over(trace, timeline),
+            None => lb_spec::check_validity(trace, &self.graph),
+        };
+        let spec_ok =
+            lb_spec::check_timely_ack(trace, params.t_ack_rounds()).is_ok() && validity.is_ok();
         let (jammed_recvs, clear_recvs) = self.region_recvs(trace, |o: &LbOutput| !o.is_ack());
         let outcome = TrialOutcome {
             master_seed,

@@ -163,23 +163,30 @@ pub enum TopologySpec {
 impl TopologySpec {
     /// The vertex count the built topology will have.
     pub fn node_count(&self) -> usize {
+        // Saturating, so an oversized file reads as "too many nodes"
+        // instead of overflowing.
         match self {
             TopologySpec::Line { n, .. }
             | TopologySpec::Ring { n, .. }
             | TopologySpec::Clique { n, .. }
             | TopologySpec::RandomGeometric { n, .. }
             | TopologySpec::ConstantDensity { n, .. } => *n,
-            TopologySpec::Grid { rows, cols, .. } => rows * cols,
-            TopologySpec::GreySandwich { reliable, grey, .. } => 1 + reliable + grey,
-            TopologySpec::PumpArena { reliable, grey } => 1 + reliable + grey + (*grey).max(4),
+            TopologySpec::Grid { rows, cols, .. } => rows.saturating_mul(*cols),
+            TopologySpec::GreySandwich { reliable, grey, .. } => {
+                reliable.saturating_add(*grey).saturating_add(1)
+            }
+            TopologySpec::PumpArena { reliable, grey } => reliable
+                .saturating_add(*grey)
+                .saturating_add((*grey).max(4))
+                .saturating_add(1),
             TopologySpec::TwoTier {
                 core, periphery, ..
-            } => core + periphery,
+            } => core.saturating_add(*periphery),
             TopologySpec::Clustered {
                 clusters,
                 cluster_size,
                 ..
-            } => clusters * cluster_size,
+            } => clusters.saturating_mul(*cluster_size),
         }
     }
 
@@ -973,6 +980,16 @@ pub const MAX_STOP_ROUNDS: u64 = 50_000_000;
 /// workload's phase length at run time).
 pub const MAX_STOP_PHASES: u64 = 1_000_000;
 
+/// Upper bound on a scenario's node count — 20x the largest deployment
+/// in use (the 50k-node scale point), small enough that a typo'd size
+/// is rejected before any topology is built.
+pub const MAX_NODES: usize = 1_000_000;
+
+/// Upper bound on a scenario's trial count — over 1000x the most any
+/// scenario in use runs (64), so a typo cannot request an effectively
+/// unbounded campaign.
+pub const MAX_TRIALS: usize = 100_000;
+
 impl StopSpec {
     /// The explicit round horizon, when the stop condition names one
     /// (`Rounds` and `FirstDeliveryAt`; `Phases`/`Complete` derive
@@ -1257,9 +1274,20 @@ impl Scenario {
         if self.trials == 0 {
             return Err(invalid("trials must be >= 1"));
         }
+        if self.trials > MAX_TRIALS {
+            return Err(invalid(format!(
+                "trials must be <= {MAX_TRIALS}, got {}",
+                self.trials
+            )));
+        }
+        let n = self.topology.node_count();
+        if n > MAX_NODES {
+            return Err(invalid(format!(
+                "topology: node count must be <= {MAX_NODES}, got {n}"
+            )));
+        }
         self.topology.validate()?;
         self.adversary.validate()?;
-        let n = self.topology.node_count();
         self.workload.validate(n)?;
         self.stop.validate(n)?;
         self.faults.validate(n)?;
@@ -1729,6 +1757,43 @@ mod tests {
             .is_err());
         // Speed 0 with a sane horizon remains legal.
         assert!(mobile().mobility(0.0, 10).build().is_ok());
+    }
+
+    #[test]
+    fn oversized_scenarios_are_rejected_before_anything_is_built() {
+        // A 10⁹-node RGG file: the cap answers from the spec alone.
+        let mut s = minimal().build().unwrap();
+        s.topology = TopologySpec::RandomGeometric {
+            n: 1_000_000_000,
+            side: 10_000.0,
+            r: 2.0,
+            grey_reliable_p: 0.1,
+            grey_unreliable_p: 0.8,
+            seed: 1,
+        };
+        let json = s.to_json();
+        let t0 = std::time::Instant::now();
+        let err = Scenario::from_json(&json).unwrap_err().to_string();
+        let elapsed = t0.elapsed();
+        assert!(elapsed < std::time::Duration::from_millis(100), "took {elapsed:?}");
+        assert!(err.contains(&format!("<= {MAX_NODES}")), "{err}");
+        // Node-count products saturate rather than wrap under the cap.
+        s.topology = TopologySpec::Grid {
+            rows: usize::MAX / 2 + 1,
+            cols: 2,
+            spacing: 1.0,
+            r: 1.0,
+        };
+        assert!(s.validate().unwrap_err().to_string().contains("node count"));
+
+        // A trillion trials.
+        let mut s = minimal().build().unwrap();
+        s.trials = 1_000_000_000_000;
+        let err = Scenario::from_json(&s.to_json()).unwrap_err().to_string();
+        assert!(err.contains(&format!("<= {MAX_TRIALS}")), "{err}");
+        // The caps themselves are legal.
+        s.trials = MAX_TRIALS;
+        assert!(s.validate().is_ok());
     }
 
     #[test]
