@@ -12,7 +12,7 @@
 //! *(scenario, trial)* pairs into one [`run_jobs`] call so scenarios
 //! parallelize as well as trials.
 
-use parking_lot::Mutex;
+use std::sync::Mutex;
 
 /// One completed job, as seen by a [`run_jobs_observed`] observer:
 /// which job, which worker ran it, and how long it took. Observations
@@ -99,13 +99,13 @@ where
     let results: Mutex<Vec<Option<T>>> =
         Mutex::new((0..jobs).map(|_| None).collect());
     let next = std::sync::atomic::AtomicUsize::new(0);
-    crossbeam::scope(|scope| {
+    std::thread::scope(|scope| {
         for worker in 0..threads {
             let results = &results;
             let next = &next;
             let f = &f;
             let observe = &observe;
-            scope.spawn(move |_| loop {
+            scope.spawn(move || loop {
                 let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
                 if i >= jobs {
                     break;
@@ -113,14 +113,14 @@ where
                 let start = std::time::Instant::now();
                 let out = f(i);
                 let elapsed_ns = start.elapsed().as_nanos() as u64;
-                results.lock()[i] = Some(out);
+                results.lock().expect("results lock poisoned")[i] = Some(out);
                 observe(JobObservation { job: i, worker, elapsed_ns });
             });
         }
-    })
-    .expect("job worker panicked");
+    });
     results
         .into_inner()
+        .expect("results lock poisoned")
         .into_iter()
         .map(|r| r.expect("all jobs completed"))
         .collect()
@@ -222,11 +222,11 @@ mod tests {
                 |i| i * 3,
                 |obs| {
                     assert!(obs.worker < 4);
-                    seen.lock()[obs.job] += 1;
+                    seen.lock().unwrap()[obs.job] += 1;
                 },
             );
             assert_eq!(out, (0..17).map(|i| i * 3).collect::<Vec<_>>());
-            assert!(seen.into_inner().iter().all(|&c| c == 1), "threads = {threads:?}");
+            assert!(seen.into_inner().unwrap().iter().all(|&c| c == 1), "threads = {threads:?}");
         }
     }
 

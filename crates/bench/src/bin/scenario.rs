@@ -40,6 +40,8 @@
 //!          [--threads N]         # worker pool size (archive is identical for all)
 //! scenario validate <file.json ...>  # field-level errors; exit 1 if any invalid
 //! scenario journal <PATH>        # validate a telemetry journal; exit 1 if invalid
+//! scenario replay <name | file.json> <trace.json>
+//!                                # audit a --save-trace file; exit 1 on a violation
 //! ```
 //!
 //! Every run prints a live heartbeat to stderr (scenarios done,
@@ -60,6 +62,8 @@
 //! ```text
 //! cargo run --release -p bench --bin scenario -- e4
 //! cargo run --release -p bench --bin scenario -- churn --trials 2
+//! cargo run --release -p bench --bin scenario -- e5 --save-trace t.json
+//! cargo run --release -p bench --bin scenario -- replay e5 t.json
 //! cargo run --release -p bench --bin scenario -- scenarios/drop_burst.json
 //! cargo run --release -p bench --bin scenario -- campaign --out CAMPAIGN.md
 //! cargo run --release -p bench --bin scenario -- campaign e5 drop-burst --check
@@ -95,7 +99,8 @@ fn usage() -> String {
      [--objective mean-ack|p99-ack|spec-violations] [--strategy random|evolve] \
      [--trials N] [--out DIR] [--top K] [--archive PATH] [--threads N]\n       \
      scenario validate <file.json ...>\n       \
-     scenario journal <PATH>"
+     scenario journal <PATH>\n       \
+     scenario replay <name | file.json> <trace.json>"
         .to_string()
 }
 
@@ -804,6 +809,43 @@ fn run_journal(args: &[String]) -> Result<ExitCode, String> {
     }
 }
 
+// ---------------------------------------------------------------------
+// Replay mode
+// ---------------------------------------------------------------------
+
+/// Audits a saved trial trace against the scenario that wrote it: the
+/// scenario rebuilds the graph, epoch timeline and LB parameters, and
+/// the runner re-checks the workload's deterministic conditions. Exit 0
+/// when all hold, 1 on a violation.
+fn run_replay(args: &[String]) -> Result<ExitCode, String> {
+    let [selector, path] = args else {
+        return Err(format!("replay takes a scenario and a trace path\n{}", usage()));
+    };
+    let runner = ScenarioRunner::new(load(selector)?).map_err(|e| e.to_string())?;
+    let json = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+    let audit = runner.audit(&json).map_err(|e| format!("{path}: {e}"))?;
+    let s = runner.scenario();
+    println!("trace: {} rounds of {} ({} workload)", audit.rounds, s.name, s.workload.name());
+    if audit.conditions.is_empty() {
+        println!("deterministic conditions: none for this workload");
+    }
+    for c in &audit.conditions {
+        match &c.result {
+            Ok(()) => println!("{}: OK", c.name),
+            Err(e) => println!("{}: VIOLATED — {e}", c.name),
+        }
+    }
+    for line in &audit.indicators {
+        println!("{line}");
+    }
+    let t = audit.totals;
+    println!(
+        "channel totals: {} transmissions, {} deliveries, {} collisions, {} silent listens",
+        t.transmitters, t.deliveries, t.collisions, t.silent
+    );
+    Ok(if audit.spec_ok() { ExitCode::SUCCESS } else { ExitCode::from(1) })
+}
+
 fn run() -> Result<ExitCode, String> {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.is_empty() || args.iter().any(|a| a == "--help" || a == "-h") {
@@ -850,6 +892,7 @@ fn run() -> Result<ExitCode, String> {
         Some("search") => run_search_mode(&args[1..]),
         Some("validate") => run_validate(&args[1..]),
         Some("journal") => run_journal(&args[1..]),
+        Some("replay") => run_replay(&args[1..]),
         _ => run_single(&args),
     }
 }

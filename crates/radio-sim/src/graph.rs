@@ -200,39 +200,6 @@ pub struct DualGraph {
     delta_prime: usize,
 }
 
-/// The serialized shape of a [`DualGraph`]: the logical edge lists only.
-/// Adjacency and degree bounds are derived data, rebuilt on deserialize,
-/// so the wire format is independent of the in-memory layout.
-#[derive(Serialize, Deserialize)]
-struct DualGraphWire {
-    n: usize,
-    reliable_edges: Vec<Edge>,
-    extra_edges: Vec<Edge>,
-}
-
-impl Serialize for DualGraph {
-    fn serialize<S: serde::Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        DualGraphWire {
-            n: self.n,
-            reliable_edges: self.reliable_edges.clone(),
-            extra_edges: self.extra_edges.clone(),
-        }
-        .serialize(serializer)
-    }
-}
-
-impl<'de> Deserialize<'de> for DualGraph {
-    fn deserialize<D: serde::Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        let wire = DualGraphWire::deserialize(deserializer)?;
-        DualGraph::new(
-            wire.n,
-            wire.reliable_edges.iter().map(|e| (e.a.0, e.b.0)),
-            wire.extra_edges.iter().map(|e| (e.a.0, e.b.0)),
-        )
-        .map_err(serde::de::Error::custom)
-    }
-}
-
 impl DualGraph {
     /// Builds a dual graph from `n` vertices, reliable edges `E`, and extra
     /// unreliable edges `E' \ E`.
@@ -439,29 +406,6 @@ mod tests {
         );
         // Isolated vertices at both ends of the index range.
         brute_force_check(&DualGraph::new(6, [(2, 3)], [(3, 4)]).unwrap());
-    }
-
-    #[test]
-    fn serde_roundtrip_preserves_graph_and_derived_data() {
-        let g = DualGraph::new(5, [(0, 1), (1, 2), (3, 4)], [(0, 2), (2, 4)]).unwrap();
-        let json = serde_json::to_string(&g).unwrap();
-        // The wire format carries only the logical edge lists.
-        assert!(json.contains("reliable_edges"));
-        assert!(!json.contains("csr") && !json.contains("offsets"));
-        let back: DualGraph = serde_json::from_str(&json).unwrap();
-        assert_eq!(g, back);
-        assert_eq!(back.delta(), g.delta());
-        assert_eq!(back.delta_prime(), g.delta_prime());
-    }
-
-    #[test]
-    fn serde_rejects_structurally_invalid_wire_data() {
-        // An edge in both sets must fail deserialization, not produce a
-        // graph that violates the `E' \ E` invariant.
-        let bad = r#"{"n":2,
-            "reliable_edges":[{"a":0,"b":1}],
-            "extra_edges":[{"a":0,"b":1}]}"#;
-        assert!(serde_json::from_str::<DualGraph>(bad).is_err());
     }
 
     #[test]

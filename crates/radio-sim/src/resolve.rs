@@ -97,7 +97,7 @@ pub fn resolve_receptions_sharded(
     let shards = shards.min(n.max(1));
     let chunk = n.div_ceil(shards);
     let gather_extra = matches!(selection, EdgeSelection::All);
-    crossbeam::scope(|s| {
+    std::thread::scope(|s| {
         let mut tx_rest: &mut [u32] = tx_neighbors;
         let mut ls_rest: &mut [NodeId] = last_sender;
         let mut busy_rest: &mut [u64] = shard_busy.unwrap_or(&mut []);
@@ -117,7 +117,7 @@ pub fn resolve_receptions_sharded(
             };
             let lo = base;
             base += take;
-            s.spawn(move |_| {
+            s.spawn(move || {
                 let span = telemetry::Stopwatch::armed(busy_slot.is_some());
                 for (i, (count, sender)) in
                     tx_chunk.iter_mut().zip(ls_chunk.iter_mut()).enumerate()
@@ -147,8 +147,7 @@ pub fn resolve_receptions_sharded(
                 }
             });
         }
-    })
-    .expect("reception shard panicked");
+    });
     if let EdgeSelection::Subset(edges) = selection {
         for e in edges {
             debug_assert!(

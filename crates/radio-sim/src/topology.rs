@@ -386,6 +386,35 @@ pub fn grey_sandwich(reliable_senders: usize, grey_senders: usize, r: f64) -> To
     build_from_embedding(Embedding::new(points), r, |_, _, _| GreyKind::Unreliable)
 }
 
+/// The E7 pump arena: a listening receiver at the origin with
+/// `reliable` nearby senders; `grey` senders in the annulus connected
+/// only by unreliable edges; and a remote clique of `grey.max(4)` nodes
+/// that inflates the *global* degree bound Δ, stretching Decay's
+/// probability ladder down to `≈ 1/grey` where a contention pump's
+/// starvation bites.
+///
+/// Layout: receiver `NodeId(0)`; reliable senders `1..=reliable`; grey
+/// senders next; remote clique last.
+pub fn pump_arena(reliable: usize, grey: usize) -> Topology {
+    let r = 2.0;
+    let mut pts = vec![Point::new(0.0, 0.0)];
+    for i in 0..reliable {
+        let a = 0.5 * (i as f64) / reliable.max(1) as f64;
+        pts.push(Point::new(0.8 * a.cos(), 0.8 * a.sin()));
+    }
+    let ring = 1.5;
+    for i in 0..grey {
+        let a = 2.0 * std::f64::consts::PI * (i as f64) / grey.max(1) as f64;
+        pts.push(Point::new(ring * a.cos(), ring * a.sin()));
+    }
+    let clique = grey.max(4);
+    for i in 0..clique {
+        let a = 2.0 * std::f64::consts::PI * (i as f64) / clique as f64;
+        pts.push(Point::new(100.0 + 0.49 * a.cos(), 0.49 * a.sin()));
+    }
+    from_embedding(Embedding::new(pts), r, GreyKind::Unreliable)
+}
+
 /// Parameters for [`clustered`].
 #[derive(Debug, Clone, Copy)]
 pub struct ClusterParams {
@@ -739,6 +768,18 @@ mod tests {
         assert!(t.graph.is_any_edge(receiver, grey));
         assert!(!t.graph.is_reliable_edge(receiver, grey));
         t.check_geographic().unwrap();
+    }
+
+    #[test]
+    fn arena_is_geographic_with_remote_clique() {
+        let topo = pump_arena(2, 8);
+        topo.check_geographic().unwrap();
+        // Receiver: 2 reliable neighbors, 8 grey neighbors.
+        let receiver = crate::graph::NodeId(0);
+        assert_eq!(topo.graph.reliable_neighbors(receiver).len(), 2);
+        assert_eq!(topo.graph.extra_neighbors(receiver).len(), 8);
+        // The remote clique dominates Δ.
+        assert!(topo.graph.delta() >= 8);
     }
 
     #[test]

@@ -16,6 +16,9 @@
 //! * [`runner`] — the [`ScenarioRunner`](runner::ScenarioRunner),
 //!   compiling a scenario into configured `radio-sim` executions, fanning
 //!   trials across cores, and aggregating experiment-style stats tables.
+//!   It alone decides each workload's deterministic spec conditions,
+//!   for trials (`spec_ok`) and for saved traces
+//!   ([`ScenarioRunner::audit`](runner::ScenarioRunner::audit)).
 //! * [`campaign`] — the [`Campaign`](campaign::Campaign) batch runner
 //!   (every registry entry, or a subset, fanned out across scenarios as
 //!   well as trials), its combined markdown report, and the
@@ -81,7 +84,7 @@ pub mod sweep;
 
 pub use campaign::{Campaign, CampaignReport, CheckReport, GoldenMetric, GoldenMetrics};
 pub use obs::{RunTelemetry, ScenarioTelemetry};
-pub use runner::{ScenarioReport, ScenarioRunner, TrialOutcome};
+pub use runner::{Audit, Condition, ScenarioReport, ScenarioRunner, TrialOutcome};
 pub use search::{
     run_search, ArchiveEntry, CandidateMetrics, Objective, SearchArchive, SearchSpec, StrategySpec,
 };

@@ -19,10 +19,11 @@ use analysis::stats::Summary;
 use analysis::table::{fnum, Table};
 use baselines::{decay_process, uniform_process, FixedScheduleProcess};
 use local_broadcast::alg::LbProcess;
-use local_broadcast::config::LbConfig;
+use local_broadcast::config::{LbConfig, LbParams};
 use local_broadcast::msg::{LbInput, LbOutput, Payload};
 use local_broadcast::service::QueueWorkload;
 use local_broadcast::spec as lb_spec;
+use local_broadcast::LbTrace;
 use net::{LinkSet, MockNetConfig, MockNetTransport, PartitionWindow};
 use radio_sim::channel::{Channel, Heard, OnAir, SimChannel};
 use radio_sim::engine::{Configuration, Engine};
@@ -36,7 +37,8 @@ use radio_sim::timeline::GraphTimeline;
 use radio_sim::topology::{self, RggParams, Topology};
 use radio_sim::trace::{EventKind, RecordingPolicy, RoundStats, Trace};
 use seed_agreement::alg::SeedProcess;
-use seed_agreement::{spec as seed_spec, SeedConfig};
+use seed_agreement::{spec as seed_spec, SeedConfig, SeedTrace};
+use serde::{DeserializeOwned, Serialize};
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -112,6 +114,9 @@ impl<M: Clone> Channel<M> for TrialChannel<M> {
 
 /// One trial's engine, over whichever channel the scenario selects.
 type TrialEngine<P> = Engine<P, TrialChannel<<P as Process>::Msg>>;
+
+/// The trace an engine over processes `P` records.
+type ProcTrace<P> = Trace<<P as Process>::Input, <P as Process>::Output, <P as Process>::Msg>;
 
 /// What one trial measured.
 #[derive(Debug, Clone, PartialEq)]
@@ -294,6 +299,64 @@ impl ScenarioReport {
         }
         vec![head, stats]
     }
+}
+
+/// One deterministic spec condition and whether a trace met it.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Condition {
+    /// The condition's name (`timely ack`, `validity`, ...).
+    pub name: &'static str,
+    /// `Ok` when it held, otherwise the first violation.
+    pub result: Result<(), String>,
+}
+
+impl Condition {
+    fn of<E: std::fmt::Display>(name: &'static str, result: Result<(), E>) -> Self {
+        Condition {
+            name,
+            result: result.map_err(|e| e.to_string()),
+        }
+    }
+}
+
+/// Whether every condition held: a trial's `spec_ok`.
+fn all_held(conditions: &[Condition]) -> bool {
+    conditions.iter().all(|c| c.result.is_ok())
+}
+
+/// What [`ScenarioRunner::audit`] found in a saved trial trace.
+#[derive(Debug, Clone)]
+pub struct Audit {
+    /// Rounds the trace records.
+    pub rounds: u64,
+    /// The workload's deterministic conditions (none for Decay, Uniform
+    /// and the MAC flood).
+    pub conditions: Vec<Condition>,
+    /// Channel totals summed over all rounds.
+    pub totals: RoundStats,
+    /// LB's probabilistic indicators (reliability, progress) as report
+    /// lines, or why they were skipped; empty for other workloads.
+    pub indicators: Vec<String>,
+}
+
+impl Audit {
+    /// Whether every condition held — the verdict trials record as
+    /// [`TrialOutcome::spec_ok`].
+    pub fn spec_ok(&self) -> bool {
+        all_held(&self.conditions)
+    }
+}
+
+/// A trial's trace, typed by workload: seed agreement records a
+/// [`SeedTrace`]; LB, Decay, Uniform and the MAC flood an [`LbTrace`].
+#[derive(Clone, Copy)]
+enum TrialTrace<'a> {
+    Seed(&'a SeedTrace),
+    Lb(&'a LbTrace),
+}
+
+fn trace_json<T: Serialize>(trace: &T) -> String {
+    serde_json::to_string(trace).expect("trace serializes")
 }
 
 /// The dynamic-geometry state a mobility scenario compiles to: the
@@ -609,6 +672,118 @@ impl ScenarioRunner {
             .expect("trace requested")
     }
 
+    /// Audits a saved trial trace — the JSON
+    /// [`ScenarioRunner::trial_trace_json`] returns and `scenario
+    /// --save-trace` writes — against this scenario, which rebuilds the
+    /// graph, epoch timeline and LB parameters the checks need. The
+    /// verdict is the one a trial records as `spec_ok`.
+    ///
+    /// # Errors
+    ///
+    /// A trace that does not parse as the workload's trace type, or
+    /// whose node count or event nodes do not fit the topology.
+    pub fn audit(&self, json: &str) -> Result<Audit, String> {
+        let (seed, lb): (SeedTrace, LbTrace);
+        let (view, rounds, totals) = match self.scenario.workload {
+            WorkloadSpec::SeedAgreement { .. } => {
+                seed = self.parse_trace(json)?;
+                (TrialTrace::Seed(&seed), seed.rounds, seed.total_stats())
+            }
+            _ => {
+                lb = self.parse_trace(json)?;
+                (TrialTrace::Lb(&lb), lb.rounds, lb.total_stats())
+            }
+        };
+        let indicators = match (view, &self.scenario.workload) {
+            (TrialTrace::Lb(t), WorkloadSpec::LocalBroadcast { epsilon1, .. }) => {
+                self.lb_indicators(t, *epsilon1)
+            }
+            _ => Vec::new(),
+        };
+        let conditions = self.conditions(view);
+        Ok(Audit { rounds, conditions, totals, indicators })
+    }
+
+    /// Parses a trace and checks it fits the topology, so no checker
+    /// can index past the graph.
+    fn parse_trace<I, O, M>(&self, json: &str) -> Result<Trace<I, O, M>, String>
+    where
+        Trace<I, O, M>: DeserializeOwned,
+    {
+        let (name, n) = (&self.scenario.name, self.graph.len());
+        let trace: Trace<I, O, M> = serde_json::from_str(json)
+            .map_err(|e| format!("not a {} trace: {e}", self.scenario.workload.name()))?;
+        if trace.n != n || trace.proc_ids.len() != n {
+            return Err(format!("trace has {} nodes but scenario {name} has {n}", trace.n));
+        }
+        if let Some(e) = trace.events.iter().find(|e| e.node.0 >= n) {
+            return Err(format!(
+                "trace event at round {} is at node {} but scenario {name} has {n} nodes",
+                e.round, e.node
+            ));
+        }
+        Ok(trace)
+    }
+
+    /// Each deterministic condition of the workload's spec on `trace`:
+    /// the one place trials and [`ScenarioRunner::audit`] decide them.
+    fn conditions(&self, trace: TrialTrace<'_>) -> Vec<Condition> {
+        match trace {
+            TrialTrace::Seed(t) => vec![
+                Condition::of("well-formedness", seed_spec::check_well_formedness(t)),
+                Condition::of("consistency", seed_spec::check_consistency(t)),
+                Condition::of("fidelity", seed_spec::check_owner_seed_fidelity(t)),
+            ],
+            TrialTrace::Lb(t) => match self.scenario.workload {
+                WorkloadSpec::LocalBroadcast { epsilon1, .. } => {
+                    let t_ack = self.lb_params(epsilon1).t_ack_rounds();
+                    let validity = match self.timeline() {
+                        Some(timeline) => lb_spec::check_validity_over(t, timeline),
+                        None => lb_spec::check_validity(t, &self.graph),
+                    };
+                    vec![
+                        Condition::of("timely ack", lb_spec::check_timely_ack(t, t_ack)),
+                        Condition::of("validity", validity),
+                    ]
+                }
+                // Decay, Uniform and the MAC flood promise no
+                // deterministic conditions.
+                _ => Vec::new(),
+            },
+        }
+    }
+
+    /// LB's probabilistic indicators (Conditions 3 and 4) as report
+    /// lines. Their checkers take one static graph, so a multi-epoch
+    /// scenario gets a line saying they were skipped.
+    fn lb_indicators(&self, trace: &LbTrace, epsilon1: f64) -> Vec<String> {
+        if let Some(t) = self.timeline().filter(|t| !t.is_single()) {
+            let n = t.num_epochs();
+            return vec![format!(
+                "reliability, progress: skipped ({n} epochs; their checkers are static-graph)"
+            )];
+        }
+        let t_prog = self.lb_params(epsilon1).phase_len();
+        let reliability = lb_spec::reliability_outcomes(trace, &self.graph);
+        match (reliability, lb_spec::progress_outcomes(trace, &self.graph, t_prog)) {
+            (Ok(r), Ok(p)) => {
+                let (served, heard) = (
+                    r.iter().filter(|o| o.success()).count(),
+                    p.iter().filter(|o| o.received).count(),
+                );
+                vec![
+                    format!("reliability: {served}/{} broadcasts served all G-neighbors", r.len()),
+                    format!("progress: {heard}/{} (node, phase) hypotheses met", p.len()),
+                ]
+            }
+            (Err(e), _) | (_, Err(e)) => vec![format!("reliability, progress: not evaluated: {e}")],
+        }
+    }
+
+    fn lb_params(&self, epsilon1: f64) -> LbParams {
+        LbConfig::practical(epsilon1).resolve(self.topo.r, self.delta(), self.delta_prime())
+    }
+
     /// The recording policy a trial actually needs: metric trials keep
     /// aggregate channel stats only (inputs and outputs are always
     /// recorded, which is all the spec predicates and summary metrics
@@ -754,39 +929,11 @@ impl ScenarioRunner {
         probe: Probe,
     ) -> TrialCapture {
         let cfg = SeedConfig::practical(epsilon1, seed_bits);
-        let delta = self.delta();
-        let horizon = self.horizon(cfg.phase_len(), cfg.total_rounds(delta));
-        let n = self.graph.len();
-        let procs: Vec<SeedProcess> = (0..n).map(|_| SeedProcess::new(cfg.clone())).collect();
-        let mut engine = self.engine(procs, Box::new(NullEnvironment), master_seed, probe);
-        let stop_satisfied = self.drive(&mut engine, horizon, |_decide| true);
-        let metrics = engine.take_telemetry();
-        let trace = engine.trace();
-        let spec_ok = seed_spec::check_well_formedness(trace).is_ok()
-            && seed_spec::check_consistency(trace).is_ok()
-            && seed_spec::check_owner_seed_fidelity(trace).is_ok();
-        let max_owners = seed_spec::owners_per_neighborhood(trace, &self.graph)
-            .ok()
-            .and_then(|per| per.into_iter().max());
-        let (jammed_recvs, clear_recvs) = self.region_recvs(trace, |_| true);
-        let outcome = TrialOutcome {
-            master_seed,
-            rounds: trace.rounds,
-            acks: 0,
-            recvs: trace.outputs().count(),
-            totals: trace.total_stats(),
-            first_ack: None,
-            first_delivery: self.watched_delivery(trace, |_| true),
-            stop_satisfied,
-            max_owners,
-            spec_ok,
-            jammed_recvs,
-            clear_recvs,
-        };
-        let json = probe
-            .trace
-            .then(|| serde_json::to_string(trace).expect("trace serializes"));
-        (outcome, json, metrics)
+        let horizon = self.horizon(cfg.phase_len(), cfg.total_rounds(self.delta()));
+        let procs: Vec<SeedProcess> =
+            (0..self.graph.len()).map(|_| SeedProcess::new(cfg.clone())).collect();
+        let engine = self.engine(procs, Box::new(NullEnvironment), master_seed, probe);
+        self.finish(engine, horizon, |_| false, |t| TrialTrace::Seed(t), master_seed, probe)
     }
 
     fn run_local_broadcast(
@@ -798,7 +945,7 @@ impl ScenarioRunner {
         probe: Probe,
     ) -> TrialCapture {
         let cfg = LbConfig::practical(epsilon1);
-        let params = cfg.resolve(self.topo.r, self.delta(), self.delta_prime());
+        let params = self.lb_params(epsilon1);
         let horizon = self.horizon(
             params.phase_len(),
             (params.t_ack_rounds() + params.phase_len())
@@ -813,39 +960,8 @@ impl ScenarioRunner {
         }
         let env = QueueWorkload::new(queues, 1);
         let procs: Vec<LbProcess> = (0..n).map(|_| LbProcess::new(cfg.clone())).collect();
-        let mut engine = self.engine(procs, Box::new(env), master_seed, probe);
-        let stop_satisfied =
-            self.drive(&mut engine, horizon, |o: &LbOutput| !o.is_ack());
-        let metrics = engine.take_telemetry();
-        let trace = engine.trace();
-        let validity = match self.timeline() {
-            Some(timeline) => lb_spec::check_validity_over(trace, timeline),
-            None => lb_spec::check_validity(trace, &self.graph),
-        };
-        let spec_ok =
-            lb_spec::check_timely_ack(trace, params.t_ack_rounds()).is_ok() && validity.is_ok();
-        let (jammed_recvs, clear_recvs) = self.region_recvs(trace, |o: &LbOutput| !o.is_ack());
-        let outcome = TrialOutcome {
-            master_seed,
-            rounds: trace.rounds,
-            acks: trace.outputs().filter(|(_, _, o)| o.is_ack()).count(),
-            recvs: trace.outputs().filter(|(_, _, o)| !o.is_ack()).count(),
-            totals: trace.total_stats(),
-            first_ack: trace
-                .outputs()
-                .find(|(_, _, o)| o.is_ack())
-                .map(|(r, _, _)| r),
-            first_delivery: self.watched_delivery(trace, |o: &LbOutput| !o.is_ack()),
-            stop_satisfied,
-            max_owners: None,
-            spec_ok,
-            jammed_recvs,
-            clear_recvs,
-        };
-        let json = probe
-            .trace
-            .then(|| serde_json::to_string(trace).expect("trace serializes"));
-        (outcome, json, metrics)
+        let engine = self.engine(procs, Box::new(env), master_seed, probe);
+        self.finish(engine, horizon, LbOutput::is_ack, |t| TrialTrace::Lb(t), master_seed, probe)
     }
 
     fn run_baseline(
@@ -856,46 +972,74 @@ impl ScenarioRunner {
         probe: Probe,
     ) -> TrialCapture {
         let horizon = self.horizon(BASELINE_PHASE_ROUNDS, BASELINE_COMPLETE_ROUNDS);
-        let n = self.graph.len();
         let mk = || -> FixedScheduleProcess {
             match uniform_p {
                 Some(p) => uniform_process(p, Some(horizon.saturating_mul(2))),
                 None => decay_process(Some(horizon.saturating_mul(2))),
             }
         };
-        let procs: Vec<FixedScheduleProcess> = (0..n).map(|_| mk()).collect();
+        let procs: Vec<FixedScheduleProcess> = (0..self.graph.len()).map(|_| mk()).collect();
         let script: Vec<(u64, NodeId, LbInput)> = senders
             .iter()
             .map(|&v| (1, NodeId(v), LbInput::Bcast(Payload::new(v as u64, 0))))
             .collect();
-        let mut engine =
+        let engine =
             self.engine(procs, Box::new(ScriptedEnvironment::new(script)), master_seed, probe);
-        let stop_satisfied =
-            self.drive(&mut engine, horizon, |o: &LbOutput| !o.is_ack());
+        self.finish(engine, horizon, LbOutput::is_ack, |t| TrialTrace::Lb(t), master_seed, probe)
+    }
+
+    /// Runs a trial engine to the stop condition and assembles its
+    /// outcome; `view` names the trace type the workload records.
+    fn finish<P: Process>(
+        &self,
+        mut engine: TrialEngine<P>,
+        horizon: u64,
+        is_ack: fn(&P::Output) -> bool,
+        view: for<'t> fn(&'t ProcTrace<P>) -> TrialTrace<'t>,
+        master_seed: u64,
+        probe: Probe,
+    ) -> TrialCapture
+    where
+        ProcTrace<P>: Serialize,
+    {
+        let stop_satisfied = self.drive(&mut engine, horizon, |o: &P::Output| !is_ack(o));
         let metrics = engine.take_telemetry();
         let trace = engine.trace();
-        let (jammed_recvs, clear_recvs) = self.region_recvs(trace, |o: &LbOutput| !o.is_ack());
-        let outcome = TrialOutcome {
+        let outcome = self.outcome(trace, view(trace), is_ack, master_seed, stop_satisfied);
+        (outcome, probe.trace.then(|| trace_json(trace)), metrics)
+    }
+
+    /// The outcome a trial's trace shows. `is_ack` classifies the
+    /// workload's outputs; every other output is a delivery.
+    fn outcome<I, O, M>(
+        &self,
+        trace: &Trace<I, O, M>,
+        view: TrialTrace<'_>,
+        is_ack: fn(&O) -> bool,
+        master_seed: u64,
+        stop_satisfied: bool,
+    ) -> TrialOutcome {
+        let is_delivery = |o: &O| !is_ack(o);
+        let (jammed_recvs, clear_recvs) = self.region_recvs(trace, is_delivery);
+        TrialOutcome {
             master_seed,
             rounds: trace.rounds,
-            acks: trace.outputs().filter(|(_, _, o)| o.is_ack()).count(),
-            recvs: trace.outputs().filter(|(_, _, o)| !o.is_ack()).count(),
+            acks: trace.outputs().filter(|(_, _, o)| is_ack(o)).count(),
+            recvs: trace.outputs().filter(|(_, _, o)| is_delivery(o)).count(),
             totals: trace.total_stats(),
-            first_ack: trace
-                .outputs()
-                .find(|(_, _, o)| o.is_ack())
-                .map(|(r, _, _)| r),
-            first_delivery: self.watched_delivery(trace, |o: &LbOutput| !o.is_ack()),
+            first_ack: trace.outputs().find(|(_, _, o)| is_ack(o)).map(|(r, _, _)| r),
+            first_delivery: self.watched_delivery(trace, is_delivery),
             stop_satisfied,
-            max_owners: None,
+            max_owners: match view {
+                TrialTrace::Seed(t) => seed_spec::owners_per_neighborhood(t, &self.graph)
+                    .ok()
+                    .and_then(|per| per.into_iter().max()),
+                TrialTrace::Lb(_) => None,
+            },
+            spec_ok: all_held(&self.conditions(view)),
             jammed_recvs,
             clear_recvs,
-            spec_ok: true,
-        };
-        let json = probe
-            .trace
-            .then(|| serde_json::to_string(trace).expect("trace serializes"));
-        (outcome, json, metrics)
+        }
     }
 
     fn run_amac_flood(
@@ -918,32 +1062,17 @@ impl ScenarioRunner {
         let source_nodes: Vec<NodeId> = sources.iter().map(|&v| NodeId(v)).collect();
         let out = amac::apps::flood_broadcast(&mut mac, &source_nodes, 1, horizon);
         let complete = out.complete(source_nodes.len());
-        let known: usize = out.known.iter().map(|k| k.len()).sum();
         let trace = mac.trace();
+        // Deliveries are messages learned, and the watched delivery is
+        // the flood's completion. The MAC flood rejects fault plans, so
+        // there is never a jammed region to split deliveries over.
         let outcome = TrialOutcome {
-            master_seed,
-            rounds: trace.rounds,
-            acks: trace.outputs().filter(|(_, _, o)| o.is_ack()).count(),
-            recvs: known,
-            totals: trace.total_stats(),
-            first_ack: trace
-                .outputs()
-                .find(|(_, _, o)| o.is_ack())
-                .map(|(r, _, _)| r),
+            recvs: out.known.iter().map(|k| k.len()).sum(),
             first_delivery: out.completed_at,
-            stop_satisfied: complete,
-            max_owners: None,
-            spec_ok: true,
-            // The MAC flood rejects fault plans, so there is never a
-            // jammed region to split deliveries over.
-            jammed_recvs: None,
-            clear_recvs: None,
+            ..self.outcome(trace, TrialTrace::Lb(trace), LbOutput::is_ack, master_seed, complete)
         };
-        let json = probe
-            .trace
-            .then(|| serde_json::to_string(trace).expect("trace serializes"));
         // The MAC adapter owns the engine; its metrics are not exposed.
-        (outcome, json, None)
+        (outcome, probe.trace.then(|| trace_json(trace)), None)
     }
 
     /// Runs the engine to the stop condition: plain budgets run
@@ -1061,6 +1190,24 @@ mod tests {
         let tables = report.tables();
         assert_eq!(tables.len(), 2);
         assert!(!tables[1].rows.is_empty());
+    }
+
+    #[test]
+    fn audit_gives_each_trials_verdict() {
+        // Every registry workload (LB, Seed, Decay, the MAC flood, faults,
+        // mobility), plus a search-found case whose trials miss an ack.
+        let found = concat!(env!("CARGO_MANIFEST_DIR"), "/../../scenarios/found/");
+        let found = std::fs::read_to_string(format!("{found}found-lb-worst-c0007.json"));
+        let found = Scenario::from_json(&found.unwrap()).unwrap();
+        let mut verdicts = Vec::new();
+        for s in crate::registry::all().into_iter().chain([found]) {
+            let runner = ScenarioRunner::new(s).unwrap();
+            let audit = runner.audit(&runner.trial_trace_json(0)).unwrap();
+            let name = &runner.scenario().name;
+            assert_eq!(audit.spec_ok(), runner.run_trial(0).spec_ok, "{name}");
+            verdicts.push(audit.spec_ok());
+        }
+        assert!(verdicts.contains(&true) && verdicts.contains(&false));
     }
 
     #[test]

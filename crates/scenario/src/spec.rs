@@ -12,10 +12,10 @@
 //! inside a topology generator or the engine's fault-plan check.
 
 use radio_sim::fault::FaultPlan;
-use radio_sim::geometry::{Embedding, Point};
+use radio_sim::geometry::Point;
 use radio_sim::graph::NodeId;
 use radio_sim::scheduler::{self, AdaptiveScheduler, LinkScheduler};
-use radio_sim::topology::{self, GreyKind, Topology};
+use radio_sim::topology::{self, Topology};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -290,7 +290,7 @@ impl TopologySpec {
             TopologySpec::GreySandwich { reliable, grey, r } => {
                 topology::grey_sandwich(reliable, grey, r)
             }
-            TopologySpec::PumpArena { reliable, grey } => pump_arena(reliable, grey),
+            TopologySpec::PumpArena { reliable, grey } => topology::pump_arena(reliable, grey),
             TopologySpec::TwoTier {
                 core,
                 periphery,
@@ -332,28 +332,6 @@ impl TopologySpec {
             }
         }
     }
-}
-
-/// The E7 arena (receiver + reliable arc + grey ring + remote clique),
-/// re-expressed here so scenarios can name it as a family.
-fn pump_arena(reliable: usize, grey: usize) -> Topology {
-    let r = 2.0;
-    let mut pts = vec![Point::new(0.0, 0.0)];
-    for i in 0..reliable {
-        let a = 0.5 * (i as f64) / reliable.max(1) as f64;
-        pts.push(Point::new(0.8 * a.cos(), 0.8 * a.sin()));
-    }
-    let ring = 1.5;
-    for i in 0..grey {
-        let a = 2.0 * std::f64::consts::PI * (i as f64) / grey.max(1) as f64;
-        pts.push(Point::new(ring * a.cos(), ring * a.sin()));
-    }
-    let clique = grey.max(4);
-    for i in 0..clique {
-        let a = 2.0 * std::f64::consts::PI * (i as f64) / clique as f64;
-        pts.push(Point::new(100.0 + 0.49 * a.cos(), 0.49 * a.sin()));
-    }
-    topology::from_embedding(Embedding::new(pts), r, GreyKind::Unreliable)
 }
 
 // ---------------------------------------------------------------------------
