@@ -9,15 +9,17 @@
 //! message from a named sender.
 //!
 //! [`SimChannel`] is the model's channel: the link scheduler fixes the
-//! round topology and [`crate::resolve`] applies the collision rule. It
+//! round topology and [`crate::resolve`] applies the collision rule. A
+//! randomized schedule is evaluated lazily, one edge coin at a time,
+//! and only on edges from a transmitter to a listener. It
 //! names senders by vertex, so a delivered message is read straight from
 //! the engine's message slots — no per-listener copy. The `net` crate's
 //! mock network is the other implementation; its delay ring delivers
 //! messages sent in earlier rounds, so it keeps its in-flight messages.
 
 use crate::graph::{DualGraph, NodeId};
-use crate::resolve;
-use crate::scheduler::SchedulerBox;
+use crate::resolve::{self, CoinCache};
+use crate::scheduler::{EdgeSelection, SchedulerBox};
 
 /// This round's traffic, as the engine hands it to the channel.
 pub struct OnAir<'a, M> {
@@ -80,6 +82,12 @@ pub trait Channel<M> {
 /// The dual graph model's channel: the link scheduler picks the round's
 /// extra edges and the collision rule resolves receptions, serially or
 /// over `shards` worker threads (byte-identical for every count).
+///
+/// A scheduler that offers [`edge_coins`](crate::scheduler::LinkScheduler::edge_coins)
+/// is never asked for its edge list: the reliable edges resolve as
+/// usual (gathered over the shards when sharded), then each
+/// transmitter's extra edges to listeners are scattered serially,
+/// asking only those edges' coins.
 pub struct SimChannel {
     scheduler: SchedulerBox,
     shards: usize,
@@ -88,6 +96,7 @@ pub struct SimChannel {
     /// the first round, so the steady state never allocates.
     tx_neighbors: Vec<u32>,
     last_sender: Vec<NodeId>,
+    coins: CoinCache,
 }
 
 impl SimChannel {
@@ -99,6 +108,7 @@ impl SimChannel {
             shards: shards.max(1),
             tx_neighbors: Vec::new(),
             last_sender: Vec::new(),
+            coins: CoinCache::default(),
         }
     }
 }
@@ -116,9 +126,12 @@ impl<M> Channel<M> for SimChannel {
             self.tx_neighbors.resize(n, 0);
             self.last_sender.resize(n, NodeId(0));
         }
-        let selection = match &mut self.scheduler {
-            SchedulerBox::Oblivious(s) => s.extra_edges(round, graph),
-            SchedulerBox::Adaptive(s) => s.extra_edges(round, graph, on_air.transmitting),
+        let (selection, coins) = match &mut self.scheduler {
+            SchedulerBox::Oblivious(s) => match s.edge_coins(round) {
+                Some(coins) => (EdgeSelection::None, Some(coins)),
+                None => (s.extra_edges(round, graph), None),
+            },
+            SchedulerBox::Adaptive(s) => (s.extra_edges(round, graph, on_air.transmitting), None),
         };
         if self.shards > 1 {
             resolve::resolve_receptions_sharded(
@@ -134,6 +147,17 @@ impl<M> Channel<M> for SimChannel {
             resolve::resolve_receptions_serial(
                 graph,
                 &selection,
+                on_air.transmitting,
+                on_air.tx_list,
+                &mut self.tx_neighbors,
+                &mut self.last_sender,
+            );
+        }
+        if let Some(coins) = coins {
+            resolve::scatter_extra_coins(
+                graph,
+                coins,
+                &mut self.coins,
                 on_air.transmitting,
                 on_air.tx_list,
                 &mut self.tx_neighbors,

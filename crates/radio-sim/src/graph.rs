@@ -110,14 +110,23 @@ struct Csr {
     offsets: Vec<usize>,
     /// All neighbor lists, concatenated in vertex order.
     targets: Vec<NodeId>,
+    /// `ids[k]` is the index, in the edge list the CSR was built from,
+    /// of the edge behind slot `targets[k]`. Empty unless requested.
+    ids: Vec<u32>,
 }
 
 impl Csr {
-    /// Builds the CSR from an edge list over `n` vertices. Each edge
-    /// contributes both directions; segments come out sorted because the
-    /// counting pass fixes exact slot ranges and a per-segment sort
-    /// finishes the (already mostly ordered) fill.
-    fn build(n: usize, edges: &[Edge]) -> Self {
+    /// Builds the CSR from a sorted, duplicate-free edge list over `n`
+    /// vertices, recording each slot's edge index when `with_ids`. Each
+    /// edge contributes both directions. Segments come out sorted from
+    /// the fill alone: `u`'s lower neighbors arrive (in order) from the
+    /// edges `(a, u)`, all of which precede the edges `(u, b)` that
+    /// supply its higher neighbors (in order).
+    fn build(n: usize, edges: &[Edge], with_ids: bool) -> Self {
+        debug_assert!(
+            edges.windows(2).all(|w| w[0] < w[1]),
+            "edge list must be sorted"
+        );
         let mut offsets = vec![0usize; n + 1];
         for e in edges {
             offsets[e.a.0 + 1] += 1;
@@ -127,17 +136,23 @@ impl Csr {
             offsets[u + 1] += offsets[u];
         }
         let mut targets = vec![NodeId(0); edges.len() * 2];
+        let mut ids = vec![0u32; if with_ids { edges.len() * 2 } else { 0 }];
         let mut cursor = offsets.clone();
-        for e in edges {
-            targets[cursor[e.a.0]] = e.b;
-            cursor[e.a.0] += 1;
-            targets[cursor[e.b.0]] = e.a;
-            cursor[e.b.0] += 1;
+        for (j, e) in edges.iter().enumerate() {
+            for (from, to) in [(e.a, e.b), (e.b, e.a)] {
+                let slot = cursor[from.0];
+                targets[slot] = to;
+                if with_ids {
+                    ids[slot] = u32::try_from(j).expect("edge index exceeds u32");
+                }
+                cursor[from.0] += 1;
+            }
         }
-        for u in 0..n {
-            targets[offsets[u]..offsets[u + 1]].sort_unstable();
+        Csr {
+            offsets,
+            targets,
+            ids,
         }
-        Csr { offsets, targets }
     }
 
     /// Merges two CSRs with disjoint, sorted segments into one whose
@@ -162,11 +177,19 @@ impl Csr {
             targets.extend_from_slice(&sb[j..]);
             offsets.push(targets.len());
         }
-        Csr { offsets, targets }
+        Csr {
+            offsets,
+            targets,
+            ids: Vec::new(),
+        }
     }
 
     fn neighbors(&self, u: usize) -> &[NodeId] {
         &self.targets[self.offsets[u]..self.offsets[u + 1]]
+    }
+
+    fn edge_ids(&self, u: usize) -> &[u32] {
+        &self.ids[self.offsets[u]..self.offsets[u + 1]]
     }
 
     /// `max_u |neighbors(u)| + 1`, the degree bound the model hands to
@@ -240,8 +263,8 @@ impl DualGraph {
 
         let reliable_edges: Vec<Edge> = rel.into_iter().collect();
         let extra_edges: Vec<Edge> = ext.into_iter().collect();
-        let reliable_csr = Csr::build(n, &reliable_edges);
-        let extra_csr = Csr::build(n, &extra_edges);
+        let reliable_csr = Csr::build(n, &reliable_edges, false);
+        let extra_csr = Csr::build(n, &extra_edges, true);
         let all_csr = Csr::merge(n, &reliable_csr, &extra_csr);
         let delta = reliable_csr.degree_bound();
         let delta_prime = all_csr.degree_bound();
@@ -294,6 +317,12 @@ impl DualGraph {
     /// Neighbors of `u` through *extra* (unreliable-only) edges.
     pub fn extra_neighbors(&self, u: NodeId) -> &[NodeId] {
         self.extra_csr.neighbors(u.0)
+    }
+
+    /// The index into [`DualGraph::extra_edges`] of each edge behind
+    /// [`DualGraph::extra_neighbors`]`(u)`, slot for slot.
+    pub fn extra_edge_ids(&self, u: NodeId) -> &[u32] {
+        self.extra_csr.edge_ids(u.0)
     }
 
     /// `N_{G'}(u)`: all neighbors of `u` in `G'`, excluding `u` — a
@@ -385,6 +414,24 @@ mod tests {
                 all.iter().copied().collect::<Vec<_>>(),
                 "merged G' adjacency of {u} diverged from the edge list"
             );
+            let extra: BTreeSet<NodeId> = all.difference(&rel).copied().collect();
+            assert_eq!(
+                g.extra_neighbors(u),
+                extra.iter().copied().collect::<Vec<_>>(),
+                "extra adjacency of {u} diverged from the edge list"
+            );
+            assert_eq!(
+                g.extra_edge_ids(u).len(),
+                extra.len(),
+                "one edge id per slot"
+            );
+            for (v, &j) in g.extra_neighbors(u).iter().zip(g.extra_edge_ids(u)) {
+                assert_eq!(
+                    g.extra_edges()[j as usize],
+                    Edge::new(u, *v),
+                    "edge id of slot {u}-{v} names the wrong edge"
+                );
+            }
         }
         assert_eq!(g.delta(), delta, "precomputed delta diverged");
         assert_eq!(g.delta_prime(), delta_prime, "precomputed delta' diverged");

@@ -10,13 +10,17 @@
 //! detection.
 //!
 //! [`SimChannel`](crate::channel::SimChannel) calls these for the
-//! engine's reception step.
+//! engine's reception step. A randomized schedule that offers per-edge
+//! coins ([`EdgeCoins`]) is resolved over the reliable edges first and
+//! then by `scatter_extra_coins`, which draws only the coins of edges
+//! from a transmitter to a listener.
 //!
 //! `last_sender` needs no reset between rounds: it is only read where
 //! `tx_neighbors` is nonzero, which implies a write in the same call.
 
 use crate::graph::{DualGraph, NodeId};
-use crate::scheduler::EdgeSelection;
+use crate::scheduler::{EdgeCoins, EdgeSelection};
+use rand::Rng;
 
 /// The scatter-form resolution: walk each transmitter's neighborhood,
 /// accumulating into `tx_neighbors`/`last_sender`.
@@ -166,6 +170,80 @@ pub fn resolve_receptions_sharded(
     }
 }
 
+/// The coins of a randomized schedule, drawn on demand and at most once
+/// per round: `mask[b]` holds the coins of extra edges `8b..8b + 8` (one
+/// ChaCha block of 16 keystream words) and is valid iff `stamp[b]` is
+/// the current round's stamp. Each [`scatter_extra_coins`] call takes a
+/// fresh stamp, so a mask left by an earlier round, or by an earlier
+/// epoch's graph, never passes for this round's. Sized on first use, so
+/// the steady state never allocates.
+#[derive(Debug, Default)]
+pub(crate) struct CoinCache {
+    round: u64,
+    stamp: Vec<u64>,
+    mask: Vec<u8>,
+    #[cfg(test)]
+    blocks_drawn: u64,
+}
+
+impl CoinCache {
+    /// Whether extra edge `j` is present this round, drawing its block's
+    /// eight coins from `coins` unless this round already did.
+    fn present(&mut self, coins: &mut EdgeCoins, j: usize) -> bool {
+        let b = j / 8;
+        if self.stamp[b] != self.round {
+            coins.stream.set_word_pos(16 * b as u128);
+            let mut bits = 0u8;
+            for k in 0..8 {
+                bits |= u8::from(coins.stream.gen_bool(coins.p)) << k;
+            }
+            self.mask[b] = bits;
+            self.stamp[b] = self.round;
+            #[cfg(test)]
+            {
+                self.blocks_drawn += 1;
+            }
+        }
+        self.mask[b] >> (j % 8) & 1 == 1
+    }
+}
+
+/// Adds the extra-edge receptions of a round whose selection is
+/// `coins`, on top of a reliable-only resolution
+/// ([`EdgeSelection::None`]). For each transmitter `v` and each extra
+/// neighbor `u` of `v` that listens, the edge's coin decides whether `v`
+/// counts at `u`. Every listener then holds the count and sender a
+/// resolution over `coins.select(graph)` gives it; a transmitter's own
+/// count omits its transmitting extra neighbors, which is never read
+/// (transmitters do not listen). Cost: O(Σ extra deg(transmitter)) plus
+/// at most one ChaCha block per 8 extra edges.
+pub(crate) fn scatter_extra_coins(
+    graph: &DualGraph,
+    mut coins: EdgeCoins,
+    cache: &mut CoinCache,
+    transmitting: &[bool],
+    tx_list: &[usize],
+    tx_neighbors: &mut [u32],
+    last_sender: &mut [NodeId],
+) {
+    // Stamps start at 0, so the first round's stamp is 1.
+    cache.round += 1;
+    let blocks = graph.extra_edges().len().div_ceil(8);
+    if cache.stamp.len() < blocks {
+        cache.stamp.resize(blocks, 0);
+        cache.mask.resize(blocks, 0);
+    }
+    for &v in tx_list {
+        let v = NodeId(v);
+        for (&u, &j) in graph.extra_neighbors(v).iter().zip(graph.extra_edge_ids(v)) {
+            if !transmitting[u.0] && cache.present(&mut coins, j as usize) {
+                tx_neighbors[u.0] += 1;
+                last_sender[u.0] = v;
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -249,6 +327,127 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    /// A ring of reliable edges plus chords `(i, i + 2)` and `(i, i + 5)`
+    /// as extra edges: 2n extra edges, spread over many coin blocks.
+    fn chorded_ring(n: usize) -> DualGraph {
+        let extra = (0..n).flat_map(|i| [(i, (i + 2) % n), (i, (i + 5) % n)]);
+        DualGraph::new(n, (0..n).map(|i| (i, (i + 1) % n)), extra).unwrap()
+    }
+
+    /// Transmit patterns from one sender to every vertex.
+    fn patterns(n: usize) -> Vec<Vec<bool>> {
+        let mut out = vec![
+            (0..n).map(|v| v == 3).collect(),
+            (0..n).map(|v| v % 7 == 0).collect(),
+            (0..n).map(|v| v % 2 == 1).collect(),
+            (0..n).map(|v| v != 5).collect(),
+            vec![true; n],
+        ];
+        out.push(out[2].iter().map(|t| !t).collect());
+        out
+    }
+
+    #[test]
+    fn coin_scatter_matches_serial_over_the_eager_subset() {
+        use crate::scheduler::{BernoulliEdges, EpochRandomEdges, LinkScheduler};
+        let g = chorded_ring(37);
+        let n = g.len();
+        let mut schedulers: Vec<Box<dyn LinkScheduler>> = vec![
+            Box::new(BernoulliEdges::new(0.5, 3)),
+            Box::new(BernoulliEdges::new(0.1, 4)),
+            Box::new(BernoulliEdges::new(1.0, 5)),
+            Box::new(EpochRandomEdges::new(3, 0.5, 6)),
+        ];
+        for sched in &mut schedulers {
+            // One cache across all rounds, as the channel keeps it.
+            let mut cache = CoinCache::default();
+            for round in 1..=12u64 {
+                let transmitting = &patterns(n)[round as usize % 6];
+                let tx_list: Vec<usize> = (0..n).filter(|&v| transmitting[v]).collect();
+                let mut counts = vec![0u32; n];
+                let mut senders = vec![NodeId(0); n];
+                resolve_receptions_serial(
+                    &g,
+                    &sched.extra_edges(round, &g),
+                    transmitting,
+                    &tx_list,
+                    &mut counts,
+                    &mut senders,
+                );
+                let mut c2 = vec![7u32; n];
+                let mut s2 = vec![NodeId(0); n];
+                resolve_receptions_serial(
+                    &g,
+                    &EdgeSelection::None,
+                    transmitting,
+                    &tx_list,
+                    &mut c2,
+                    &mut s2,
+                );
+                let coins = sched
+                    .edge_coins(round)
+                    .expect("randomized schedulers offer coins");
+                scatter_extra_coins(
+                    &g,
+                    coins,
+                    &mut cache,
+                    transmitting,
+                    &tx_list,
+                    &mut c2,
+                    &mut s2,
+                );
+                for u in (0..n).filter(|&u| !transmitting[u]) {
+                    let name = sched.name();
+                    assert_eq!(counts[u], c2[u], "{name} round {round} listener {u}");
+                    if counts[u] == 1 {
+                        assert_eq!(senders[u], s2[u], "{name} round {round} listener {u}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn coin_cache_draws_each_block_at_most_once_per_round() {
+        use crate::scheduler::{BernoulliEdges, LinkScheduler};
+        let g = chorded_ring(61);
+        let n = g.len();
+        let m = g.extra_edges().len();
+        let sched = BernoulliEdges::new(0.5, 9);
+        let mut cache = CoinCache::default();
+        let mut counts = vec![0u32; n];
+        let mut senders = vec![NodeId(0); n];
+        for (round, transmitting) in (1u64..).zip(patterns(n)) {
+            let tx_list: Vec<usize> = (0..n).filter(|&v| transmitting[v]).collect();
+            // The blocks holding a transmitter-to-listener edge's coin.
+            let mut needed = std::collections::BTreeSet::new();
+            for &v in &tx_list {
+                let v = NodeId(v);
+                for (u, j) in g.extra_neighbors(v).iter().zip(g.extra_edge_ids(v)) {
+                    if !transmitting[u.0] {
+                        needed.insert(j / 8);
+                    }
+                }
+            }
+            let before = cache.blocks_drawn;
+            scatter_extra_coins(
+                &g,
+                sched.edge_coins(round).expect("bernoulli offers coins"),
+                &mut cache,
+                &transmitting,
+                &tx_list,
+                &mut counts,
+                &mut senders,
+            );
+            let drawn = cache.blocks_drawn - before;
+            assert_eq!(drawn, needed.len() as u64, "round {round}");
+            assert!(
+                drawn <= m.div_ceil(8) as u64,
+                "round {round}: {drawn} blocks"
+            );
         }
     }
 }

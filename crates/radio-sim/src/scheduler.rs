@@ -69,6 +69,33 @@ impl EdgeSelection {
     }
 }
 
+/// One round of a randomized oblivious schedule as independent per-edge
+/// coins: extra edge `j` (its index in [`DualGraph::extra_edges`]) is
+/// present iff the `j`-th `gen_bool(p)` draw from `stream` succeeds. That
+/// draw reads keystream words `2j` and `2j + 1` only, so a channel can
+/// seek straight to the coins it needs; [`EdgeCoins::select`] draws them
+/// all in order, which is the scheduler's reference list.
+#[derive(Debug, Clone)]
+pub struct EdgeCoins {
+    /// The round's scheduler stream, positioned at word 0.
+    pub stream: ChaCha8Rng,
+    /// Inclusion probability of each extra edge.
+    pub p: f64,
+}
+
+impl EdgeCoins {
+    /// The round's selection, one coin per extra edge in index order.
+    pub fn select(mut self, graph: &DualGraph) -> EdgeSelection {
+        let subset: Vec<Edge> = graph
+            .extra_edges()
+            .iter()
+            .filter(|_| self.stream.gen_bool(self.p))
+            .copied()
+            .collect();
+        EdgeSelection::Subset(subset)
+    }
+}
+
 /// An *oblivious* link scheduler: a function of the round number and the
 /// static dual graph only.
 ///
@@ -78,6 +105,14 @@ impl EdgeSelection {
 pub trait LinkScheduler: Send {
     /// The extra edges present in round `round` (rounds start at 1).
     fn extra_edges(&mut self, round: u64, graph: &DualGraph) -> EdgeSelection;
+
+    /// Round `round`'s selection as per-edge coins, for schedulers whose
+    /// edges are independent coins; it must pick exactly the edges
+    /// [`LinkScheduler::extra_edges`] lists for that round. `None` (the
+    /// default) leaves the channel to use the list.
+    fn edge_coins(&self, _round: u64) -> Option<EdgeCoins> {
+        None
+    }
 
     /// A short human-readable name for experiment tables.
     fn name(&self) -> &'static str {
@@ -173,21 +208,20 @@ impl BernoulliEdges {
         BernoulliEdges { p, seed }
     }
 
-    fn round_rng(&self, round: u64) -> ChaCha8Rng {
-        derive_stream(self.seed, StreamKind::Scheduler, round)
+    fn coins(&self, round: u64) -> EdgeCoins {
+        EdgeCoins {
+            stream: derive_stream(self.seed, StreamKind::Scheduler, round),
+            p: self.p,
+        }
     }
 }
 
 impl LinkScheduler for BernoulliEdges {
     fn extra_edges(&mut self, round: u64, graph: &DualGraph) -> EdgeSelection {
-        let mut rng = self.round_rng(round);
-        let subset: Vec<Edge> = graph
-            .extra_edges()
-            .iter()
-            .filter(|_| rng.gen_bool(self.p))
-            .copied()
-            .collect();
-        EdgeSelection::Subset(subset)
+        self.coins(round).select(graph)
+    }
+    fn edge_coins(&self, round: u64) -> Option<EdgeCoins> {
+        Some(self.coins(round))
     }
     fn name(&self) -> &'static str {
         "bernoulli"
@@ -436,19 +470,22 @@ impl EpochRandomEdges {
         assert!((0.0..=1.0).contains(&p), "p must be a probability");
         EpochRandomEdges { epoch, p, seed }
     }
+
+    fn coins(&self, round: u64) -> EdgeCoins {
+        let epoch_index = (round - 1) / self.epoch;
+        EdgeCoins {
+            stream: derive_stream(self.seed, StreamKind::Scheduler, epoch_index),
+            p: self.p,
+        }
+    }
 }
 
 impl LinkScheduler for EpochRandomEdges {
     fn extra_edges(&mut self, round: u64, graph: &DualGraph) -> EdgeSelection {
-        let epoch_index = (round - 1) / self.epoch;
-        let mut rng = derive_stream(self.seed, StreamKind::Scheduler, epoch_index);
-        let subset = graph
-            .extra_edges()
-            .iter()
-            .filter(|_| rng.gen_bool(self.p))
-            .copied()
-            .collect();
-        EdgeSelection::Subset(subset)
+        self.coins(round).select(graph)
+    }
+    fn edge_coins(&self, round: u64) -> Option<EdgeCoins> {
+        Some(self.coins(round))
     }
     fn name(&self) -> &'static str {
         "epoch-random"

@@ -8,7 +8,7 @@ use radio_sim::engine::{Configuration, Engine};
 use radio_sim::environment::NullEnvironment;
 use radio_sim::graph::{DualGraph, NodeId};
 use radio_sim::process::{Action, Context, Process};
-use radio_sim::scheduler::{BernoulliEdges, EdgeSelection, LinkScheduler};
+use radio_sim::scheduler::{BernoulliEdges, EdgeSelection, EpochRandomEdges, LinkScheduler};
 use radio_sim::trace::RecordingPolicy;
 
 /// A process with a fully scripted transmit pattern that records its
@@ -77,14 +77,40 @@ fn reference_receptions(
         .collect()
 }
 
+/// Which vertices transmit in round `t` (0-based) for transmit-density
+/// mode `density`: 0 = one sender, 1 = the scripted bits, 2 = every
+/// vertex but one, 3 = every vertex.
+fn transmits(
+    density: usize,
+    tx_bits: &[bool],
+    n: usize,
+    rounds: usize,
+    v: usize,
+    t: usize,
+) -> bool {
+    match density {
+        0 => v == t % n,
+        1 => tx_bits
+            .get((v * rounds + t) % tx_bits.len().max(1))
+            .copied()
+            .unwrap_or(false),
+        2 => v != t % n,
+        _ => true,
+    }
+}
+
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+    #![proptest_config(ProptestConfig::with_cases(128))]
     #[test]
     fn engine_matches_reference_model(
-        n in 2usize..12,
+        n in 2usize..24,
         edge_bits in proptest::collection::vec(any::<bool>(), 66),
         extra_bits in proptest::collection::vec(any::<bool>(), 66),
         tx_bits in proptest::collection::vec(any::<bool>(), 0..96),
+        density in 0usize..4,
+        p_index in 0usize..4,
+        epoch in 0u64..4,
+        shards in 1usize..4,
         sched_seed in 0u64..500,
         rounds in 1u64..8,
     ) {
@@ -106,34 +132,40 @@ proptest! {
         }
         let graph = DualGraph::new(n, reliable, extra).unwrap();
 
-        // Random transmit patterns: node v transmits message (v*100 + t)
-        // in round t when its bit is set.
+        // Transmit patterns: node v transmits message (v*100 + t) in
+        // round t when the density mode says so.
         let pattern_for = |v: usize| -> Vec<Option<u64>> {
             (0..rounds as usize)
                 .map(|t| {
-                    let bit = tx_bits
-                        .get((v * rounds as usize + t) % tx_bits.len().max(1))
-                        .copied()
-                        .unwrap_or(false);
-                    bit.then_some((v * 100 + t) as u64)
+                    transmits(density, &tx_bits, n, rounds as usize, v, t)
+                        .then_some((v * 100 + t) as u64)
                 })
                 .collect()
+        };
+        // Bernoulli edges (epoch 0) or epoch-random edges held for
+        // `epoch` rounds, each edge present with probability p.
+        let p = [0.0, 0.1, 0.5, 1.0][p_index];
+        let scheduler = || -> Box<dyn LinkScheduler> {
+            if epoch == 0 {
+                Box::new(BernoulliEdges::new(p, sched_seed))
+            } else {
+                Box::new(EpochRandomEdges::new(epoch, p, sched_seed))
+            }
         };
 
         let procs: Vec<Scripted> = (0..n)
             .map(|v| Scripted { pattern: pattern_for(v) })
             .collect();
-        let config = Configuration::new(
-            graph.clone(),
-            Box::new(BernoulliEdges::new(0.5, sched_seed)),
-        )
-        .with_recording(RecordingPolicy::full());
+        let config = Configuration::new(graph.clone(), scheduler())
+            .with_recording(RecordingPolicy::full())
+            .with_shards(shards);
         let mut engine = Engine::new(config, procs, Box::new(NullEnvironment), 1);
         engine.run(rounds);
         let trace = engine.into_trace();
 
-        // Replay the schedule independently and compare per round.
-        let mut sched = BernoulliEdges::new(0.5, sched_seed);
+        // Replay the schedule's eager edge list independently and
+        // compare per round.
+        let mut sched = scheduler();
         for t in 1..=rounds {
             let selection = sched.extra_edges(t, &graph);
             let transmitting: Vec<Option<u64>> =

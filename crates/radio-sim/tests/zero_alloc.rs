@@ -9,31 +9,30 @@
 use radio_sim::engine::{Configuration, Engine};
 use radio_sim::environment::NullEnvironment;
 use radio_sim::process::{Action, Context, Process};
-use radio_sim::scheduler::AllExtraEdges;
+use radio_sim::scheduler::{AllExtraEdges, BernoulliEdges, EpochRandomEdges, LinkScheduler};
 use radio_sim::topology::{random_geometric, RggParams};
 use radio_sim::trace::RecordingPolicy;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Counts every allocation that grows the heap (alloc, alloc_zeroed,
-/// realloc) — but only on the thread that armed the counter, so
-/// concurrent libtest-harness threads (timers, monitors) cannot
-/// pollute the measured window. Deallocation is free and uncounted.
+/// realloc) — but only on the thread that armed the counter, and into
+/// that thread's own count, so concurrent libtest-harness threads
+/// (timers, monitors, the other test) cannot pollute the measured
+/// window. Deallocation is free and uncounted.
 struct CountingAllocator;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
 thread_local! {
-    /// Whether allocations on this thread count. Const-initialized so
-    /// reading it never itself allocates (no lazy TLS registration for
-    /// droppable state).
+    /// Whether allocations on this thread count, and how many did.
+    /// Const-initialized so touching them never itself allocates (no
+    /// lazy TLS registration for droppable state).
     static ARMED: Cell<bool> = const { Cell::new(false) };
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
 }
 
 fn record() {
     if ARMED.try_with(Cell::get).unwrap_or(false) {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        let _ = ALLOCATIONS.try_with(|c| c.set(c.get() + 1));
     }
 }
 
@@ -88,9 +87,22 @@ impl Process for Chatter {
     }
 }
 
-#[test]
-fn stats_only_steady_state_allocates_nothing() {
-    const MEASURED_ROUNDS: u64 = 1_000;
+const MEASURED_ROUNDS: u64 = 1_000;
+
+/// The schedulers the contract covers: a constant selection and both
+/// randomized ones, whose per-edge coins the channel draws on demand.
+fn schedulers() -> Vec<Box<dyn LinkScheduler>> {
+    vec![
+        Box::new(AllExtraEdges),
+        Box::new(BernoulliEdges::new(0.5, 11)),
+        Box::new(EpochRandomEdges::new(16, 0.5, 13)),
+    ]
+}
+
+/// Runs a warmed-up engine over `scheduler` for `MEASURED_ROUNDS` rounds
+/// with the allocation counter armed and returns the engine and the
+/// number of allocations the window saw.
+fn measured_run(scheduler: Box<dyn LinkScheduler>, telemetry: bool) -> (Engine<Chatter>, u64) {
     let topo = random_geometric(RggParams {
         n: 64,
         side: 3.0,
@@ -100,8 +112,9 @@ fn stats_only_steady_state_allocates_nothing() {
         seed: 5,
     });
     let procs: Vec<Chatter> = (0..topo.graph.len()).map(|_| Chatter).collect();
-    let config = Configuration::new(topo.graph.clone(), Box::new(AllExtraEdges))
-        .with_recording(RecordingPolicy::stats_only());
+    let config = Configuration::new(topo.graph.clone(), scheduler)
+        .with_recording(RecordingPolicy::stats_only())
+        .with_telemetry(telemetry);
     let mut engine = Engine::new(config, procs, Box::new(NullEnvironment), 42);
 
     // Warmup: scratch buffers reach their steady sizes.
@@ -112,20 +125,30 @@ fn stats_only_steady_state_allocates_nothing() {
     engine.reserve_rounds(MEASURED_ROUNDS);
 
     ARMED.with(|a| a.set(true));
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    let before = ALLOCATIONS.with(Cell::get);
     engine.run(MEASURED_ROUNDS);
-    let after = ALLOCATIONS.load(Ordering::SeqCst);
+    let after = ALLOCATIONS.with(Cell::get);
     ARMED.with(|a| a.set(false));
-    assert_eq!(
-        after - before,
-        0,
-        "Engine::step allocated {} time(s) over {MEASURED_ROUNDS} rounds",
-        after - before
-    );
-    // The run did real work: stats were recorded every round.
-    assert_eq!(engine.trace().round_stats.len() as u64, 16 + MEASURED_ROUNDS);
-    let totals = engine.trace().total_stats();
-    assert!(totals.transmitters > 0 && totals.deliveries > 0);
+    (engine, after - before)
+}
+
+#[test]
+fn stats_only_steady_state_allocates_nothing() {
+    for scheduler in schedulers() {
+        let name = scheduler.name();
+        let (engine, allocations) = measured_run(scheduler, false);
+        assert_eq!(
+            allocations, 0,
+            "Engine::step under {name} allocated {allocations} time(s) over {MEASURED_ROUNDS} rounds"
+        );
+        // The run did real work: stats were recorded every round.
+        assert_eq!(
+            engine.trace().round_stats.len() as u64,
+            16 + MEASURED_ROUNDS
+        );
+        let totals = engine.trace().total_stats();
+        assert!(totals.transmitters > 0 && totals.deliveries > 0, "{name}");
+    }
 }
 
 #[test]
@@ -134,41 +157,20 @@ fn instrumented_steady_state_allocates_nothing() {
     // fixed slots (counters, the 2048-bucket histogram, per-shard busy
     // slots sized at construction), so phase timing and counter
     // recording must add zero allocations per round.
-    const MEASURED_ROUNDS: u64 = 1_000;
-    let topo = random_geometric(RggParams {
-        n: 64,
-        side: 3.0,
-        r: 2.0,
-        grey_reliable_p: 0.1,
-        grey_unreliable_p: 0.8,
-        seed: 5,
-    });
-    let procs: Vec<Chatter> = (0..topo.graph.len()).map(|_| Chatter).collect();
-    let config = Configuration::new(topo.graph.clone(), Box::new(AllExtraEdges))
-        .with_recording(RecordingPolicy::stats_only())
-        .with_telemetry(true);
-    let mut engine = Engine::new(config, procs, Box::new(NullEnvironment), 42);
-
-    engine.run(16);
-    engine.reserve_rounds(MEASURED_ROUNDS);
-
-    ARMED.with(|a| a.set(true));
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
-    engine.run(MEASURED_ROUNDS);
-    let after = ALLOCATIONS.load(Ordering::SeqCst);
-    ARMED.with(|a| a.set(false));
-    assert_eq!(
-        after - before,
-        0,
-        "instrumented Engine::step allocated {} time(s) over {MEASURED_ROUNDS} rounds",
-        after - before
-    );
-    let telem = engine.telemetry().expect("telemetry enabled");
-    assert_eq!(telem.rounds, 16 + MEASURED_ROUNDS);
-    assert_eq!(telem.round_ns.count(), telem.rounds);
-    assert!(telem.busy_ns() > 0 && telem.deliveries > 0);
-    // Telemetry observed the same execution the trace recorded.
-    let totals = engine.trace().total_stats();
-    assert_eq!(telem.deliveries, totals.deliveries as u64);
-    assert_eq!(telem.transmissions, totals.transmitters as u64);
+    for scheduler in schedulers() {
+        let name = scheduler.name();
+        let (engine, allocations) = measured_run(scheduler, true);
+        assert_eq!(
+            allocations, 0,
+            "instrumented Engine::step under {name} allocated {allocations} time(s) over {MEASURED_ROUNDS} rounds"
+        );
+        let telem = engine.telemetry().expect("telemetry enabled");
+        assert_eq!(telem.rounds, 16 + MEASURED_ROUNDS);
+        assert_eq!(telem.round_ns.count(), telem.rounds);
+        assert!(telem.busy_ns() > 0 && telem.deliveries > 0, "{name}");
+        // Telemetry observed the same execution the trace recorded.
+        let totals = engine.trace().total_stats();
+        assert_eq!(telem.deliveries, totals.deliveries as u64);
+        assert_eq!(telem.transmissions, totals.transmitters as u64);
+    }
 }

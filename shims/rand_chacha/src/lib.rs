@@ -62,6 +62,21 @@ impl ChaCha8Rng {
         // buffered-but-unread words from the block count.
         (self.counter as u128) * 16 + self.index as u128 - 16
     }
+
+    /// Seeks to keystream word `word_offset`: the next `next_u32` returns
+    /// the word a fresh generator would return after `word_offset`
+    /// reads. A seek inside the buffered block only moves the read index;
+    /// any other seek generates the target block once.
+    pub fn set_word_pos(&mut self, word_offset: u128) {
+        let block = (word_offset / 16) as u64;
+        let index = (word_offset % 16) as usize;
+        // Once `refill` has run, the buffer holds block `counter - 1`.
+        if self.counter == 0 || self.counter - 1 != block {
+            self.counter = block;
+            self.refill();
+        }
+        self.index = index;
+    }
 }
 
 fn quarter(s: &mut [u32; 16], a: usize, b: usize, c: usize, d: usize) {
@@ -141,6 +156,26 @@ mod tests {
             rng.next_u32();
         }
         assert_eq!(rng.get_word_pos(), 21);
+    }
+
+    #[test]
+    fn set_word_pos_matches_sequential_reads() {
+        let seed = [9u8; 32];
+        let mut reference = ChaCha8Rng::from_seed(seed);
+        let words: Vec<u32> = (0..80).map(|_| reference.next_u32()).collect();
+        let mut rng = ChaCha8Rng::from_seed(seed);
+        // Inside the first block, on a block boundary, past the buffered
+        // block, and backwards (into the buffered block and before it).
+        for k in [5u128, 16, 0, 3, 47, 64, 33, 40, 37, 2, 79] {
+            rng.set_word_pos(k);
+            assert_eq!(rng.get_word_pos(), k, "get_word_pos after seek to {k}");
+            assert_eq!(rng.next_u32(), words[k as usize], "word {k}");
+            assert_eq!(rng.get_word_pos(), k + 1);
+        }
+        // Reading on from a seek continues the keystream in order.
+        rng.set_word_pos(14);
+        let run: Vec<u32> = (0..20).map(|_| rng.next_u32()).collect();
+        assert_eq!(run, words[14..34]);
     }
 
     #[test]
